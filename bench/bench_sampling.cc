@@ -149,7 +149,7 @@ main(int argc, char** argv)
 
         job.sampling = sampling;
         exp::JobResult samp;
-        exp::runJob(job, samp, 1, checkpoint_dir);
+        exp::runJob(job, samp, checkpoint_dir);
         if (samp.status != exp::JobStatus::Ok)
             fatal("sampled job '%s' %s: %s", job.label.c_str(),
                   exp::jobStatusName(samp.status),
@@ -166,7 +166,7 @@ main(int argc, char** argv)
 
         if (!checkpoint_dir.empty()) {
             exp::JobResult warm;
-            exp::runJob(job, warm, 1, checkpoint_dir);
+            exp::runJob(job, warm, checkpoint_dir);
             row.warm_wall_s = warm.wall_seconds;
         }
 

@@ -18,10 +18,6 @@
  *   --smoke               small inputs, one iteration (CI)
  *   --iters N             measurement iterations (default 1; 3 with
  *                         full inputs smooths host-timer noise)
- *   --sim-threads N       threads pipelining each simulation (jobs
- *                         still run one at a time, so attribution
- *                         stays exact; timing is parity-guarded at
- *                         any value)
  *   --json PATH           output path (default BENCH_simspeed.json)
  *   --golden PATH         run the timing-parity check against PATH
  *   --update-golden PATH  write fresh golden fingerprints to PATH
@@ -46,7 +42,6 @@ main(int argc, char** argv)
     setInformEnabled(false);
     bool small = bench::smallRuns();
     unsigned iters = 1;
-    unsigned sim_threads = 1;
     std::string json_name = "BENCH_simspeed.json";
     std::string golden;
     std::string update_golden;
@@ -63,9 +58,6 @@ main(int argc, char** argv)
             small = true;
         else if (arg == "--iters")
             iters = unsigned(std::strtoul(value(), nullptr, 10));
-        else if (arg == "--sim-threads")
-            sim_threads =
-                unsigned(std::strtoul(value(), nullptr, 10));
         else if (arg == "--json")
             json_name = value();
         else if (arg == "--golden")
@@ -88,7 +80,7 @@ main(int argc, char** argv)
                 iters == 1 ? "" : "s");
 
     const exp::SpeedReport report =
-        exp::measureSimSpeed(jobs, iters, sim_threads);
+        exp::measureSimSpeed(jobs, iters);
 
     TextTable table({"system", "jobs", "wall_s", "jobs/s",
                      "Mcycles", "ns/cycle"});

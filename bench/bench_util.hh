@@ -131,9 +131,6 @@ struct SweepOptions
     /** Worker threads / distributed lanes; 0 defers to EVE_EXP_THREADS. */
     unsigned threads = 0;
 
-    /** Threads pipelining each simulation; <= 1 runs inline. */
-    unsigned sim_threads = 1;
-
     /**
      * Interval-sampling schedule applied to every job (see
      * sim/sampling.hh); disabled default defers to EVE_EXP_SAMPLE.
@@ -168,18 +165,6 @@ envCache(const std::string& dir = {})
     std::fprintf(stderr, "cache: %zu entries in %s\n", loaded,
                  cache->filePath().c_str());
     return cache;
-}
-
-/** Standard bench runner: env-tunable threads, abort-free sweeps. */
-inline exp::Runner
-makeRunner(exp::ResultCache* cache = nullptr, unsigned threads = 0,
-           unsigned sim_threads = 1)
-{
-    exp::RunnerOptions opts;
-    opts.threads = threads ? threads : exp::envThreads();
-    opts.sim_threads = sim_threads;
-    opts.cache = cache;
-    return exp::Runner(opts);
 }
 
 /** Die if any job in @p results failed or mismatched. */
@@ -249,14 +234,12 @@ runSweep(std::vector<exp::Job> jobs, const SweepOptions& opts = {})
             opts.threads ? opts.threads : exp::envThreads();
         dist.lanes =
             lanes ? lanes : std::thread::hardware_concurrency();
-        dist.sim_threads = opts.sim_threads;
         dist.checkpoint_dir = checkpoint_dir;
         results = exp::runDistributed(jobs, dist, cache.get());
     } else {
         exp::RunnerOptions ropts;
         ropts.threads = opts.threads ? opts.threads
                                      : exp::envThreads();
-        ropts.sim_threads = opts.sim_threads;
         ropts.cache = cache.get();
         ropts.checkpoint_dir = checkpoint_dir;
         results = exp::Runner(ropts).run(jobs);

@@ -78,6 +78,8 @@ struct EveBreakdown
                ld_dt_stall + st_dt_stall + vmu_stall + empty_stall +
                dep_stall;
     }
+
+    bool operator==(const EveBreakdown&) const = default;
 };
 
 /** The O3+EVE system. */

@@ -1,17 +1,9 @@
 /**
  * @file
  * Interface of every end-to-end timing model (a "simulated system"
- * row of Table III). The API is two-level:
- *
- *  - InstrSink: workloads stream their dynamic trace into the model
- *    (push side, unchanged — a workload never sees the clock);
- *  - Clocked: the driver owns the clock and steps the model with
- *    tick(), feeding it through an attached InstrFeed. A model with
- *    no attached feed (the classic inline path) is permanently
- *    quiesced from the driver's point of view because every record
- *    was already folded in synchronously by consume().
- *
- * After finish() the model reports how long the run took.
+ * row of Table III). Workloads stream their dynamic trace into the
+ * model through InstrSink — a workload never sees the clock — and
+ * after finish() the model reports how long the run took.
  */
 
 #ifndef EVE_CPU_TIMING_MODEL_HH
@@ -20,13 +12,12 @@
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "isa/instr.hh"
-#include "sim/clocked.hh"
 
 namespace eve
 {
 
 /** One simulated system consuming a dynamic instruction stream. */
-class TimingModel : public InstrSink, public Clocked
+class TimingModel : public InstrSink
 {
   public:
     /** Drain all in-flight work (pipelines, queues, engines). */
@@ -40,34 +31,6 @@ class TimingModel : public InstrSink, public Clocked
 
     /** Cycle time of the model's core clock, in nanoseconds. */
     virtual double clockNs() const = 0;
-
-    /**
-     * Attach (or detach, with nullptr) the channel tick() drains.
-     * Records already biased/filtered by the producer side arrive
-     * exactly as a direct consume() call would deliver them.
-     */
-    void attachFeed(InstrFeed* f) { feed = f; }
-
-    /** Fold every record currently available in the feed. */
-    void
-    tick(Tick horizon) override
-    {
-        (void)horizon; // lazy models fold all arrived work at once
-        ++tickInvocations;
-        if (feed)
-            feed->drain([this](const Instr& i) { consume(i); });
-    }
-
-    bool quiesced() const override { return !feed || feed->empty(); }
-
-    Tick
-    nextEventTick() const override
-    {
-        return quiesced() ? kNoEventTick : finalTick();
-    }
-
-  private:
-    InstrFeed* feed = nullptr;
 };
 
 } // namespace eve

@@ -11,13 +11,13 @@ namespace eve
 {
 
 std::vector<RunResult>
-runCmpParallel(const std::vector<CmpCore>& cores, unsigned sim_threads)
+runCmpParallel(const std::vector<CmpCore>& cores, unsigned max_threads)
 {
     if (cores.empty())
         return {};
     const unsigned n = unsigned(cores.size());
-    if (sim_threads == 0 || sim_threads > n)
-        sim_threads = n;
+    if (max_threads == 0 || max_threads > n)
+        max_threads = n;
 
     // The uncore runs at the baseline clock whatever the cores'
     // design points (same convention as runCmpPair).
@@ -25,7 +25,7 @@ runCmpParallel(const std::vector<CmpCore>& cores, unsigned sim_threads)
     shared.clock_ns = 1.025;
     SharedUncore uncore(shared);
 
-    RunPermits permits(sim_threads);
+    RunPermits permits(max_threads);
     BarrierClock clock(n, &permits);
 
     // Build every system up front (single-threaded): construction

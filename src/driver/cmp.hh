@@ -11,7 +11,7 @@
  * order by lexicographic (simulated tick, core id) — see
  * sim/barrier_clock.hh for the protocol and the determinism
  * argument. The simulated timing of a co-run is a pure function of
- * the configs and workloads: byte-identical at any sim-thread count
+ * the configs and workloads: byte-identical at any core-thread cap
  * (asserted at 1, 2, and 8 threads by the parity tests).
  */
 
@@ -34,7 +34,7 @@ struct CmpCore
 
 /**
  * Co-execute @p cores on a shared uncore, each core's simulation on
- * its own thread, with at most @p sim_threads of them computing
+ * its own thread, with at most @p max_threads of them computing
  * concurrently (0 = one thread per core). Core i's physical
  * footprint is biased by i << 32 so footprints stay disjoint in the
  * shared LLC. Returns per-core results in core order; every result
@@ -42,7 +42,7 @@ struct CmpCore
  * cores, collected after all cores finished).
  */
 std::vector<RunResult> runCmpParallel(const std::vector<CmpCore>& cores,
-                                      unsigned sim_threads = 0);
+                                      unsigned max_threads = 0);
 
 } // namespace eve
 

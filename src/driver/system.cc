@@ -1,9 +1,8 @@
 #include "driver/system.hh"
 
 #include <cstdlib>
-#include <exception>
 #include <memory>
-#include <thread>
+#include <optional>
 #include <vector>
 
 #include "analytic/circuits.hh"
@@ -254,115 +253,6 @@ class AddrBiasSink : public InstrSink
     Addr bias;
 };
 
-} // namespace
-
-void
-System::emitTrace(Workload& workload, InstrSink& model_leg,
-                  std::uint32_t hw_vl, RunResult& result)
-{
-    CountingSink counter;
-    Characterizer characterizer;
-    TeeSink tee;
-    tee.attach(&counter);
-    tee.attach(&characterizer);
-    std::unique_ptr<VecMachine> machine;
-    if (hw_vl != 0) {
-        machine =
-            std::make_unique<VecMachine>(workload.memory(), hw_vl);
-        tee.attach(machine.get());  // functional execution first
-    }
-    tee.attach(&model_leg);
-    if (hw_vl == 0)
-        workload.emitScalar(tee);
-    else
-        workload.emitVector(tee, hw_vl);
-    result.instrs = counter.total;
-    result.vecInstrs = characterizer.vecInstrs;
-    result.vecElemOps = characterizer.vecOps;
-}
-
-RunResult
-System::run(Workload& workload, unsigned sim_threads)
-{
-    workload.init();
-
-    RunResult result;
-    result.system = systemName(cfg);
-    result.workload = workload.name();
-
-    const std::uint32_t hw_vl = hwVectorLength();
-    if (sim_threads <= 1) {
-        // Inline: emission calls straight into the model.
-        AddrBiasSink biased_model(*model, addrBias);
-        emitTrace(workload, biased_model, hw_vl, result);
-    } else {
-        // Pipelined: a producer thread emits the trace (running the
-        // functional machine and characterization), pushing already-
-        // biased records into a bounded feed; this thread pumps the
-        // model through its Clocked interface. Order is preserved,
-        // so the simulated timing is byte-identical to inline.
-        InstrFeed feed;
-        FeedWriter writer(feed);
-        AddrBiasSink biased_writer(writer, addrBias);
-        model->attachFeed(&feed);
-        std::exception_ptr producer_error;
-        std::thread producer([&] {
-            try {
-                emitTrace(workload, biased_writer, hw_vl, result);
-            } catch (...) {
-                producer_error = std::current_exception();
-            }
-            feed.close();
-        });
-        for (;;) {
-            if (!model->quiesced())
-                model->tick(kTickHorizonInf);
-            else if (feed.closed() && model->quiesced())
-                break;
-            else
-                std::this_thread::yield();
-        }
-        producer.join();
-        model->attachFeed(nullptr);
-        if (producer_error)
-            std::rethrow_exception(producer_error);
-    }
-    // The scalar path is timing-only; vector runs verify against the
-    // functional machine's memory image.
-    result.mismatches = hw_vl == 0 ? 0 : workload.verify();
-    model->finish();
-
-    auto collect = [&](StatGroup& group) {
-        for (const auto& [stat, value] : group.sorted())
-            result.stats[group.name() + "." + stat] = value;
-    };
-    collect(model->stats());
-    collect(hierarchy->l1i().stats());
-    collect(hierarchy->l1d().stats());
-    collect(hierarchy->l2().stats());
-    if (!sharedStatsDeferred) {
-        collect(hierarchy->llc().stats());
-        collect(hierarchy->dram().stats());
-    }
-    result.total_ticks = double(model->finalTick());
-    result.cycles = result.total_ticks /
-                    (model->clockNs() * ticksPerNs);
-    result.seconds = result.total_ticks / (ticksPerNs * 1e9);
-    if (eve) {
-        result.has_breakdown = true;
-        result.breakdown = eve->breakdown();
-        result.vmu_cache_stall_ticks = eve->vmuCacheStallTicks();
-    }
-    if (result.mismatches)
-        warn("%s on %s: %llu functional mismatches",
-             result.workload.c_str(), result.system.c_str(),
-             (unsigned long long)result.mismatches);
-    return result;
-}
-
-namespace
-{
-
 /** Forwards records from position @p from on (checkpoint skip). */
 class SkipUntilSink : public InstrSink
 {
@@ -403,111 +293,120 @@ class FilterSink : public InstrSink
 } // namespace
 
 RunResult
-System::runSampled(Workload& workload, const SimOptions& opts)
+System::run(Workload& workload, const SimOptions& opts)
 {
     workload.init();
 
     RunResult result;
     result.system = systemName(cfg);
     result.workload = workload.name();
-    result.sampled = true;
+    result.sampled = opts.sampling.enabled();
 
     const std::uint32_t hw_vl = hwVectorLength();
-
-    // Checkpoint identity: everything the functional state at a
-    // record position depends on — the workload and its inputs, the
-    // hardware vector length (it shapes the emitted stream), the
-    // sampling schedule (it decides the capture position), and the
-    // memory-image size (a workload-generator change shows up here
-    // even when the simulator salt did not move). Scalar systems
-    // have no machine to snapshot, and "custom"-scale workloads have
-    // no reproducible identity, so neither uses checkpoints.
-    std::unique_ptr<CheckpointStore> store;
-    std::string material;
-    const bool reproducible_scale = opts.scale_tag == "small" ||
-                                    opts.scale_tag == "full" ||
-                                    opts.scale_tag == "paper";
-    if (!opts.checkpoint_dir.empty() && hw_vl != 0 &&
-        reproducible_scale) {
-        material = "workload=" + workload.name() +
-                   "|scale=" + opts.scale_tag +
-                   "|vl=" + std::to_string(hw_vl) +
-                   "|mem=" + std::to_string(workload.memory().size()) +
-                   "|" + samplingCanonical(opts.sampling);
-        store = std::make_unique<CheckpointStore>(opts.checkpoint_dir,
-                                                  opts.salt);
-    }
-
-    Checkpoint restored;
-    bool have_restored = false;
-    if (store && store->load(material, restored)) {
-        if (restored.mem.size() == workload.memory().size()) {
-            have_restored = true;
-        } else {
-            warn("checkpoint for %s: memory image %zu bytes != "
-                 "workload's %zu; ignoring",
-                 workload.name().c_str(), restored.mem.size(),
-                 std::size_t(workload.memory().size()));
-        }
-    }
+    std::unique_ptr<VecMachine> machine;
+    if (hw_vl != 0)
+        machine =
+            std::make_unique<VecMachine>(workload.memory(), hw_vl);
 
     CountingSink counter;
     Characterizer characterizer;
-    WarmupFilter filter(hierarchy->l1d().params().line_bytes);
-    FilterSink filter_sink(filter);
     AddrBiasSink biased_model(*model, addrBias);
-    SamplingController controller(opts.sampling, *model,
-                                  biased_model);
-
-    std::unique_ptr<VecMachine> machine;
-    std::unique_ptr<SkipUntilSink> machine_gate;
-    if (hw_vl != 0) {
-        machine =
-            std::make_unique<VecMachine>(workload.memory(), hw_vl);
-        if (have_restored) {
-            // The machine is memory's only mutator, and its leg is
-            // skipped below for every record before the snapshot
-            // position — so installing the snapshot right after
-            // init() reproduces the cold run's state exactly.
-            workload.memory().data() = restored.mem;
-            machine->restoreState(restored.machine);
-            result.checkpoint = "restored";
-        }
-        machine_gate = std::make_unique<SkipUntilSink>(
-            *machine, have_restored ? restored.position : 0);
-    }
-
-    // Capture (overwriting) at every fast-forward -> detailed
-    // boundary past what a restored snapshot already covers; the
-    // final capture — the last boundary of the stream — is what gets
-    // saved, maximizing the machine work the next run skips.
-    Checkpoint capture;
-    bool captured = false;
-    controller.on_detail_entry = [&](std::uint64_t pos) {
-        filter.applyTo(hierarchy->llc());
-        filter.applyTo(hierarchy->l2());
-        filter.applyTo(hierarchy->l1d());
-        if (store && machine &&
-            (!have_restored || pos > restored.position)) {
-            capture.position = pos;
-            capture.machine = machine->saveState();
-            capture.mem = workload.memory().data();
-            captured = true;
-        }
-    };
-
-    // The sampled tee. Order matters: the controller's boundary hook
-    // must observe the functional state produced by records [0, pos)
-    // only, so the machine's (gated) leg runs *after* the
-    // controller; the timing models are pure consumers of generator-
-    // produced records, so they never miss the machine's results.
     TeeSink tee;
     tee.attach(&counter);
     tee.attach(&characterizer);
-    tee.attach(&controller);
-    tee.attach(&filter_sink);
-    if (machine_gate)
-        tee.attach(machine_gate.get());
+
+    // An exact run's remaining legs are the address-biased model and
+    // then the functional machine. A sampled run puts the
+    // SamplingController in the model's place, adds the WarmupFilter
+    // leg, and gates the machine behind a restored checkpoint. The
+    // machine's leg runs last: the controller's boundary hook must
+    // observe the functional state produced by records [0, pos) only,
+    // and the timing models are pure consumers of generator-produced
+    // records, so they never miss the machine's results.
+    std::optional<SamplingController> controller;
+    std::optional<WarmupFilter> filter;
+    std::optional<FilterSink> filter_leg;
+    std::optional<SkipUntilSink> machine_gate;
+    std::unique_ptr<CheckpointStore> store;
+    std::string material;
+    Checkpoint capture;
+    bool captured = false;
+    if (!result.sampled) {
+        tee.attach(&biased_model);
+        if (machine)
+            tee.attach(machine.get());
+    } else {
+        // Checkpoint identity: everything the functional state at a
+        // record position depends on — the workload and its inputs,
+        // the hardware vector length (it shapes the emitted stream),
+        // the sampling schedule (it decides the capture position),
+        // and the memory-image size (a workload-generator change
+        // shows up here even when the simulator salt did not move).
+        // Scalar systems have no machine to snapshot, and "custom"-
+        // scale workloads have no reproducible identity, so neither
+        // uses checkpoints.
+        const bool reproducible_scale = opts.scale_tag == "small" ||
+                                        opts.scale_tag == "full" ||
+                                        opts.scale_tag == "paper";
+        if (!opts.checkpoint_dir.empty() && machine &&
+            reproducible_scale) {
+            material = "workload=" + workload.name() +
+                       "|scale=" + opts.scale_tag +
+                       "|vl=" + std::to_string(hw_vl) +
+                       "|mem=" +
+                       std::to_string(workload.memory().size()) + "|" +
+                       samplingCanonical(opts.sampling);
+            store = std::make_unique<CheckpointStore>(
+                opts.checkpoint_dir, opts.salt);
+        }
+
+        std::uint64_t skip = 0;
+        Checkpoint restored;
+        if (store && store->load(material, restored)) {
+            if (restored.mem.size() != workload.memory().size()) {
+                warn("checkpoint for %s: memory image %zu bytes != "
+                     "workload's %zu; ignoring",
+                     workload.name().c_str(), restored.mem.size(),
+                     std::size_t(workload.memory().size()));
+            } else {
+                // The machine is memory's only mutator, and its leg
+                // is skipped for every record before the snapshot
+                // position — so installing the snapshot right after
+                // init() reproduces the cold run's state exactly.
+                skip = restored.position;
+                workload.memory().data() = std::move(restored.mem);
+                machine->restoreState(restored.machine);
+                result.checkpoint = "restored";
+            }
+        }
+
+        filter.emplace(hierarchy->l1d().params().line_bytes);
+        filter_leg.emplace(*filter);
+        controller.emplace(opts.sampling, *model, biased_model);
+        // Capture (overwriting) at every fast-forward -> detailed
+        // boundary past what a restored snapshot already covers (the
+        // hook never fires at pos 0); the final capture — the last
+        // boundary of the stream — is what gets saved, maximizing
+        // the machine work the next run skips.
+        controller->on_detail_entry = [&, skip](std::uint64_t pos) {
+            filter->applyTo(hierarchy->llc());
+            filter->applyTo(hierarchy->l2());
+            filter->applyTo(hierarchy->l1d());
+            if (store && pos > skip) {
+                capture.position = pos;
+                capture.machine = machine->saveState();
+                capture.mem = workload.memory().data();
+                captured = true;
+            }
+        };
+        tee.attach(&*controller);
+        tee.attach(&*filter_leg);
+        if (machine) {
+            machine_gate.emplace(*machine, skip);
+            tee.attach(&*machine_gate);
+        }
+    }
+
     if (hw_vl == 0)
         workload.emitScalar(tee);
     else
@@ -516,18 +415,24 @@ System::runSampled(Workload& workload, const SimOptions& opts)
     result.vecInstrs = characterizer.vecInstrs;
     result.vecElemOps = characterizer.vecOps;
 
+    // The scalar path is timing-only; vector runs verify against the
+    // functional machine's memory image.
     result.mismatches = hw_vl == 0 ? 0 : workload.verify();
     model->finish();
-    controller.finalize(model->finalTick());
-
-    const SampleStats& sampled = controller.stats();
-    result.sample_windows = sampled.windows;
-    result.sampled_measured_instrs = sampled.measured_instrs;
-    result.sampled_measured_ticks = sampled.measured_ticks;
-    if (sampled.measured_instrs == 0)
-        warn("%s on %s: stream too short to measure a sampling "
-             "window; reporting the detailed-path frontier",
-             result.workload.c_str(), result.system.c_str());
+    result.total_ticks = double(model->finalTick());
+    if (controller) {
+        controller->finalize(model->finalTick());
+        const SampleStats& sampled = controller->stats();
+        result.sample_windows = sampled.windows;
+        result.sampled_measured_instrs = sampled.measured_instrs;
+        result.sampled_measured_ticks = sampled.measured_ticks;
+        if (sampled.measured_instrs == 0)
+            warn("%s on %s: stream too short to measure a sampling "
+                 "window; reporting the detailed-path frontier",
+                 result.workload.c_str(), result.system.c_str());
+        result.total_ticks =
+            extrapolatedTicks(sampled, result.total_ticks);
+    }
 
     auto collect = [&](StatGroup& group) {
         for (const auto& [stat, value] : group.sorted())
@@ -541,8 +446,6 @@ System::runSampled(Workload& workload, const SimOptions& opts)
         collect(hierarchy->llc().stats());
         collect(hierarchy->dram().stats());
     }
-    result.total_ticks =
-        extrapolatedTicks(sampled, double(model->finalTick()));
     result.cycles = result.total_ticks /
                     (model->clockNs() * ticksPerNs);
     result.seconds = result.total_ticks / (ticksPerNs * 1e9);
@@ -564,26 +467,6 @@ System::runSampled(Workload& workload, const SimOptions& opts)
             result.checkpoint = "saved";
     }
     return result;
-}
-
-RunResult
-System::run(Workload& workload, const SimOptions& opts)
-{
-    if (!opts.sampling.enabled())
-        return run(workload, opts.sim_threads);
-    // Sampled runs always consume inline: the controller is a
-    // single-consumer sink and the schedule depends only on record
-    // position, so the result is byte-identical at any requested
-    // sim-thread count.
-    return runSampled(workload, opts);
-}
-
-RunResult
-runWorkload(const SystemConfig& config, Workload& workload,
-            unsigned sim_threads)
-{
-    System system(config);
-    return system.run(workload, sim_threads);
 }
 
 RunResult

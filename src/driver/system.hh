@@ -74,18 +74,12 @@ std::uint64_t configFingerprint(const SystemConfig& config);
 bool parseConfigCanonical(const std::string& text, SystemConfig& out);
 
 /**
- * How to run one simulation: threading, the sampling schedule, and
- * (for sampled runs) where functional checkpoints live. The plain
- * default — exact inline simulation — is what the historical
- * run(workload, sim_threads) entry points forward to.
+ * How to run one simulation: the sampling schedule and (for sampled
+ * runs) where functional checkpoints live. The default is an exact
+ * run.
  */
 struct SimOptions
 {
-    /** Threads pipelining one simulation; <= 1 runs inline. Sampled
-     * runs always consume inline (the controller is a single-
-     * consumer sink), so this only affects exact runs. */
-    unsigned sim_threads = 1;
-
     /** Disabled (exact) by default. */
     SamplingConfig sampling;
 
@@ -178,29 +172,15 @@ class System
      * vector) through the timing model with a VecMachine attached,
      * finish, verify, and collect the result.
      *
-     * @p sim_threads <= 1 runs inline (emission calls straight into
-     * the model). >= 2 splits one simulation into a pipeline: a
-     * producer thread emits the trace (and runs the functional
-     * machine and characterization) into a bounded InstrFeed, while
-     * this thread pumps the timing model through its Clocked
-     * interface. The model consumes the identical record sequence in
-     * the identical order, so the simulated timing is byte-identical
-     * to the inline path — guarded by the parity tests.
+     * With opts.sampling enabled the run is sampled: the stream
+     * fast-forwards between detailed intervals, cycles/seconds/
+     * total_ticks are extrapolated from the measured windows, and
+     * (when opts.checkpoint_dir is set and the workload scale is
+     * reproducible) the functional state at the last detailed-window
+     * entry is checkpointed / restored through a CheckpointStore.
+     * Restored runs are byte-identical to cold ones.
      */
-    RunResult run(Workload& workload, unsigned sim_threads = 1);
-
-    /**
-     * Full-options form. With opts.sampling disabled this is exactly
-     * run(workload, opts.sim_threads); with it enabled the run is
-     * sampled: the stream fast-forwards between detailed intervals,
-     * cycles/seconds/total_ticks are extrapolated from the measured
-     * windows, and (when opts.checkpoint_dir is set and the workload
-     * scale is reproducible) the functional state at the last
-     * detailed-window entry is checkpointed / restored through a
-     * CheckpointStore. Restored runs are byte-identical to cold
-     * ones.
-     */
-    RunResult run(Workload& workload, const SimOptions& opts);
+    RunResult run(Workload& workload, const SimOptions& opts = {});
 
     TimingModel& timing() { return *model; }
     MemHierarchy& memory() { return *hierarchy; }
@@ -231,18 +211,6 @@ class System
   private:
     void buildModel();
 
-    /**
-     * Emit the workload's trace into the tee (counter +
-     * characterizer + functional machine + @p model_leg), recording
-     * the stream counters into @p result. In pipelined runs this is
-     * the producer thread's body.
-     */
-    void emitTrace(Workload& workload, InstrSink& model_leg,
-                   std::uint32_t hw_vl, RunResult& result);
-
-    /** The sampled-simulation body of run(workload, opts). */
-    RunResult runSampled(Workload& workload, const SimOptions& opts);
-
     SystemConfig cfg;
     std::unique_ptr<MemHierarchy> hierarchy;
     std::unique_ptr<TimingModel> model;
@@ -253,11 +221,7 @@ class System
 
 /** Convenience: build a fresh system and run one workload. */
 RunResult runWorkload(const SystemConfig& config, Workload& workload,
-                      unsigned sim_threads = 1);
-
-/** Full-options convenience form (see System::run(.., SimOptions)). */
-RunResult runWorkload(const SystemConfig& config, Workload& workload,
-                      const SimOptions& opts);
+                      const SimOptions& opts = {});
 
 /**
  * Run two workloads on two cores that share the LLC and the DRAM

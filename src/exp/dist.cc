@@ -832,8 +832,7 @@ runDistWorker(const DistOptions& opts,
         }
 
         JobResult r;
-        runJob(job, r, dir.options().sim_threads,
-               dir.options().checkpoint_dir);
+        runJob(job, r, dir.options().checkpoint_dir);
         ++report.executed;
         dir.publishResult(dist, r);
         if (dir.options().progress) {

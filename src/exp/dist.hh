@@ -140,12 +140,6 @@ struct DistOptions
     unsigned lanes = 1;
 
     /**
-     * Threads pipelining each locally-executed simulation; <= 1 runs
-     * inline. Timing-parity guarded, so a pure wall-clock knob.
-     */
-    unsigned sim_threads = 1;
-
-    /**
      * Directory for functional-state checkpoints ("" = none),
      * used by locally-executed sampled jobs (see RunnerOptions).
      */

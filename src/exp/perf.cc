@@ -203,7 +203,6 @@ ParityFile::check(const std::vector<JobResult>& results,
 
 SpeedReport
 measureSimSpeed(const std::vector<Job>& jobs, unsigned iters,
-                unsigned sim_threads,
                 const std::string& checkpoint_dir)
 {
     if (iters == 0)
@@ -225,7 +224,6 @@ measureSimSpeed(const std::vector<Job>& jobs, unsigned iters,
                 fatal("simspeed: unknown workload '%s'",
                       job.workload.c_str());
             SimOptions sopts;
-            sopts.sim_threads = sim_threads;
             sopts.sampling = job.sampling;
             sopts.checkpoint_dir = checkpoint_dir;
             sopts.scale_tag = job.scale;

@@ -148,16 +148,12 @@ struct SpeedReport
  * Run every job serially @p iters times, timing each execution.
  * Failures are fatal — a speed number over failed jobs is
  * meaningless. @p iters > 1 amortizes host timer noise.
- * @p sim_threads > 1 pipelines each simulation (System::run) — jobs
- * still execute one at a time, so attribution stays exact while the
- * intra-sim speedup shows up directly in jobs/s.
  * Jobs with a sampling schedule run sampled (this is how the
  * sampling speedup itself is measured); @p checkpoint_dir, when
  * non-empty, lets those jobs save/restore functional checkpoints.
  */
 SpeedReport measureSimSpeed(const std::vector<Job>& jobs,
                             unsigned iters = 1,
-                            unsigned sim_threads = 1,
                             const std::string& checkpoint_dir = "");
 
 /**

@@ -47,7 +47,7 @@ Runner::run(const SweepSpec& spec) const
 }
 
 void
-runJob(const Job& job, JobResult& out, unsigned sim_threads,
+runJob(const Job& job, JobResult& out,
        const std::string& checkpoint_dir)
 {
     out.index = job.index;
@@ -66,7 +66,6 @@ runJob(const Job& job, JobResult& out, unsigned sim_threads,
                 throw std::runtime_error("unknown workload '" +
                                          job.workload + "'");
             SimOptions sopts;
-            sopts.sim_threads = sim_threads;
             sopts.sampling = job.sampling;
             sopts.checkpoint_dir = checkpoint_dir;
             sopts.scale_tag = job.scale;
@@ -140,8 +139,7 @@ Runner::run(const std::vector<Job>& jobs) const
                 if (p >= pending.size())
                     return;
                 const std::size_t i = pending[p];
-                runJob(jobs[i], results[i], opts.sim_threads,
-                       opts.checkpoint_dir);
+                runJob(jobs[i], results[i], opts.checkpoint_dir);
                 if (results[i].status == JobStatus::Failed &&
                     opts.on_failure == FailurePolicy::Abort) {
                     stop.store(true, std::memory_order_release);

@@ -80,13 +80,6 @@ struct RunnerOptions
 {
     /** Worker count; 0 means std::thread::hardware_concurrency(). */
     unsigned threads = 0;
-
-    /**
-     * Threads *inside* each simulation (System::run pipelining);
-     * <= 1 runs inline. Simulated timing is byte-identical either
-     * way (parity-guarded), so cache keys are unaffected.
-     */
-    unsigned sim_threads = 1;
     FailurePolicy on_failure = FailurePolicy::Record;
     ProgressFn progress;
 
@@ -136,11 +129,10 @@ std::size_t countStatus(const std::vector<JobResult>& results,
  * into @p out, build and run its workload (or its custom executor),
  * and fold every failure mode into JobStatus — a throwing job
  * becomes Failed with the exception text, never a crash.
- * @p sim_threads threads pipeline each simulation (<= 1 inline);
  * @p checkpoint_dir, when non-empty, lets sampled jobs save/restore
  * functional checkpoints (exact jobs ignore it).
  */
-void runJob(const Job& job, JobResult& out, unsigned sim_threads = 1,
+void runJob(const Job& job, JobResult& out,
             const std::string& checkpoint_dir = "");
 
 /**

@@ -85,20 +85,6 @@ Program::loadStrided(unsigned dst, Addr addr, std::int64_t stride,
 }
 
 void
-Program::storeStrided(unsigned src, Addr addr, std::int64_t stride,
-                      std::uint32_t vl, bool masked)
-{
-    Instr i;
-    i.op = Op::VStoreStrided;
-    i.src1 = std::uint8_t(src);
-    i.addr = addr;
-    i.stride = stride;
-    i.vl = vl;
-    i.masked = masked;
-    instrs.push_back(i);
-}
-
-void
 Program::loadIndexed(unsigned dst, Addr addr,
                      std::vector<std::uint32_t> offsets, bool masked)
 {

@@ -59,10 +59,6 @@ class Program
     void loadStrided(unsigned dst, Addr addr, std::int64_t stride,
                      std::uint32_t vl, bool masked = false);
 
-    /** Constant-stride store. */
-    void storeStrided(unsigned src, Addr addr, std::int64_t stride,
-                      std::uint32_t vl, bool masked = false);
-
     /** Indexed (gather) load; @p offsets are byte offsets from addr. */
     void loadIndexed(unsigned dst, Addr addr,
                      std::vector<std::uint32_t> offsets,

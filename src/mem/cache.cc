@@ -204,19 +204,6 @@ Cache::prefetchLine(Addr line, Tick t)
 }
 
 void
-Cache::resetTiming()
-{
-    for (auto& bank : bankPorts)
-        bank.reset();
-    mshrPool.reset();
-    // Fill ticks are timing state: the new epoch's bank clocks start
-    // at zero, so ticks from the old epoch must not merge against it.
-    for (Line& line : tagArray)
-        line.fill = 0;
-    statGroup.clear();
-}
-
-void
 Cache::setActiveWays(unsigned active_ways)
 {
     if (active_ways == 0 || active_ways > cacheParams.assoc)
@@ -249,12 +236,6 @@ Cache::invalidateWays(unsigned way_begin, unsigned way_end)
         }
     }
     return result;
-}
-
-void
-Cache::invalidateAll()
-{
-    invalidateWays(0, cacheParams.assoc);
 }
 
 void

@@ -81,8 +81,6 @@ class Cache : public MemObject
 
     StatGroup& stats() override { return statGroup; }
 
-    void resetTiming() override;
-
     /**
      * Restrict lookups and fills to ways [0, active_ways). Lines in
      * the masked-off ways become unreachable; callers wanting the
@@ -98,9 +96,6 @@ class Cache : public MemObject
      * cost model (each dirty line incurs a writeback to the LLC).
      */
     InvalidateResult invalidateWays(unsigned way_begin, unsigned way_end);
-
-    /** Invalidate the entire cache. */
-    void invalidateAll();
 
     /** Warm a line into the cache without timing side effects. */
     void touch(Addr addr, bool dirty = false);

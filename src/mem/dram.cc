@@ -30,11 +30,4 @@ Dram::access(Addr addr, bool is_write, Tick t)
     return is_write ? start + lineOccupancyTicks : start + latencyTicks;
 }
 
-void
-Dram::resetTiming()
-{
-    channel.reset();
-    statGroup.clear();
-}
-
 } // namespace eve

@@ -37,8 +37,6 @@ class Dram : public MemObject
 
     StatGroup& stats() override { return statGroup; }
 
-    void resetTiming() override;
-
   private:
     DramParams params;
     Tick latencyTicks;

@@ -81,18 +81,6 @@ MemHierarchy::buildPrivateLevels()
 }
 
 void
-MemHierarchy::resetTiming()
-{
-    if (dramChannel)
-        dramChannel->resetTiming();
-    if (llcCache)
-        llcCache->resetTiming();
-    l2Cache->resetTiming();
-    l1dCache->resetTiming();
-    l1iCache->resetTiming();
-}
-
-void
 MemHierarchy::warmRange(Addr begin, Addr end)
 {
     const unsigned line = l1dCache->params().line_bytes;

@@ -66,9 +66,6 @@ class MemHierarchy
 
     const HierarchyParams& params() const { return hierParams; }
 
-    /** Reset timing state of every level. */
-    void resetTiming();
-
     /** Pre-fill every level with the address range (tests/warmup). */
     void warmRange(Addr begin, Addr end);
 

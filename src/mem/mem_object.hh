@@ -36,9 +36,6 @@ class MemObject
 
     /** Statistics for this level. */
     virtual StatGroup& stats() = 0;
-
-    /** Reset timing state and statistics (not tag contents). */
-    virtual void resetTiming() = 0;
 };
 
 } // namespace eve

@@ -45,10 +45,12 @@ isEve(const std::string& system)
 }
 
 /**
- * Pick one record per (system, workload): exact axis-free records
- * are preferred over sampled/axis points (those belong to ablation
- * sweeps, not the headline figures); within the same preference
- * class the last record wins (re-runs append).
+ * Pick one record per (system, workload). Exact records rank above
+ * sampled ones, then axis-free records above axis points (those
+ * belong to ablation sweeps, not the headline figures); within the
+ * same rank the last record wins (re-runs append). Exactness ranks
+ * first because a --pf sweep gives every record, exact or sampled, a
+ * pf axis.
  */
 std::map<std::pair<std::string, std::string>, Record>
 selectCells(const std::vector<Record>& records)
@@ -59,7 +61,7 @@ selectCells(const std::vector<Record>& records)
         if (!r.ok())
             continue;
         const auto key = std::make_pair(r.system, r.workload);
-        const int p = (r.axes.empty() && !r.sampled) ? 1 : 0;
+        const int p = (r.sampled ? 0 : 2) + (r.axes.empty() ? 1 : 0);
         const auto it = pref.find(key);
         if (it != pref.end() && it->second > p)
             continue;

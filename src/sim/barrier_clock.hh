@@ -31,7 +31,7 @@
  * the least blocked (tick, id) gives global progress.
  *
  * A RunPermits semaphore caps how many core threads actually compute
- * concurrently (--sim-threads). A core blocked in enter() returns its
+ * concurrently (runCmpParallel's max_threads). A core blocked in enter() returns its
  * permit so a computing core can use the slot, and re-acquires it
  * once granted; the grant *order* never depends on permits, so the
  * permit count affects wall time only, never simulated timing.
@@ -176,8 +176,6 @@ class GatedUncorePort : public MemObject
     }
 
     StatGroup& stats() override { return inner.stats(); }
-
-    void resetTiming() override { inner.resetTiming(); }
 
   private:
     MemObject& inner;

@@ -60,7 +60,7 @@ struct Checkpoint
 /**
  * Directory of checkpoints keyed by an identity-material string
  * (workload, scale, hardware vl, sampling schedule — the caller
- * builds it; see System::runSampled).
+ * builds it; see System::run).
  */
 class CheckpointStore
 {

@@ -1,11 +1,11 @@
 /**
  * @file
- * Interval sampling over the two-level simulation API.
+ * Interval sampling of the emitted instruction stream.
  *
  * Paper-scale inputs (mmult 1024^3, ~8.6 G dynamic instructions) are
  * too slow to push through the detailed timing model record by
  * record. The classic remedy (SMARTS / SimPoint-style systematic
- * sampling) fits the InstrSink/Clocked split exactly: the workload
+ * sampling) fits the InstrSink interface exactly: the workload
  * generator keeps emitting its full dynamic trace, but only a
  * strided subset of *intervals* reaches the timing model, with a
  * short detailed warmup ahead of every measured interval. The rest
@@ -32,10 +32,8 @@
  *     est_ticks = measured_ticks * (total_records / measured_records)
  *
  * Everything here is deterministic: the phase schedule depends only
- * on the record position, the filter is a plain recency list, and
- * sampled runs always consume the stream inline (single-consumer),
- * so the same SamplingConfig reproduces byte-identical results at
- * any sim-thread count.
+ * on the record position and the filter is a plain recency list, so
+ * the same SamplingConfig reproduces byte-identical results.
  */
 
 #ifndef EVE_SIM_SAMPLING_HH
@@ -169,8 +167,8 @@ double extrapolatedTicks(const SampleStats& stats,
  *
  * The caller owns the phase side effects via on_detail_entry, fired
  * at every fast-forward -> detailed boundary *before* the boundary
- * record is consumed by any downstream sink: System::runSampled uses
- * it to install the WarmupFilter image and to capture functional
+ * record is consumed by any downstream sink: a sampled System::run
+ * uses it to install the WarmupFilter image and to capture functional
  * checkpoints (so it must observe the state produced by records
  * [0, pos), exactly).
  */

@@ -88,10 +88,6 @@ workerArgs(const exp::DistOptions& d)
         args.push_back("--worker-id");
         args.push_back(d.worker_id);
     }
-    if (d.sim_threads > 1) {
-        args.push_back("--sim-threads");
-        args.push_back(std::to_string(d.sim_threads));
-    }
     if (!d.checkpoint_dir.empty()) {
         args.push_back("--checkpoint-dir");
         args.push_back(d.checkpoint_dir);

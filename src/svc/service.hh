@@ -88,8 +88,8 @@ WorkerLauncher processLauncher();
 /**
  * The argv (argv[0] included, no trailing nullptr) processLauncher()
  * spawns a worker with. Exposed so tests can assert that every
- * execution-relevant DistOptions field — notably sim_threads and
- * checkpoint_dir — actually reaches the child process.
+ * execution-relevant DistOptions field — notably checkpoint_dir —
+ * actually reaches the child process.
  */
 std::vector<std::string> workerArgs(const exp::DistOptions& d);
 

@@ -244,7 +244,7 @@ TEST(Cache, InvalidateWaysClearsInFlightFillState)
     cache.access(0, false, 0);
     EXPECT_EQ(cache.stats().get("prefetches"), 2.0);
     // EVE spawn carve-out: every way is invalidated through the
-    // way-range API (invalidateAll is not what reconfiguration uses).
+    // way-range API, as reconfiguration does.
     cache.invalidateWays(0, 4);
     // The same demand miss much later must re-prefetch lines 1-2
     // rather than being suppressed by stale outstanding entries.

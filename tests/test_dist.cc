@@ -18,20 +18,14 @@
 #include "exp/exp.hh"
 #include "workloads/workload.hh"
 
+#include "test_util.hh"
+
 using namespace eve;
 using namespace eve::exp;
+using eve::test::freshDir;
 
 namespace
 {
-
-/** A fresh, empty scratch directory under the gtest temp dir. */
-std::string
-freshDir(const std::string& name)
-{
-    const std::string dir = ::testing::TempDir() + name;
-    std::filesystem::remove_all(dir);
-    return dir;
-}
 
 /** The same 4-job grid the runner tests use. */
 SweepSpec

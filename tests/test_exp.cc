@@ -16,20 +16,14 @@
 #include "exp/exp.hh"
 #include "workloads/workload.hh"
 
+#include "test_util.hh"
+
 using namespace eve;
 using namespace eve::exp;
+using eve::test::freshDir;
 
 namespace
 {
-
-/** A fresh, empty scratch directory under the gtest temp dir. */
-std::string
-freshDir(const std::string& name)
-{
-    const std::string dir = ::testing::TempDir() + name;
-    std::filesystem::remove_all(dir);
-    return dir;
-}
 
 /** A do-nothing workload (fast Runner jobs for scheduling tests). */
 class NopWorkload : public Workload

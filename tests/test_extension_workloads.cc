@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "driver/system.hh"
 #include "isa/functional.hh"
 #include "isa/program.hh"
@@ -17,8 +19,11 @@ namespace eve
 namespace
 {
 
+// The kernel name is a std::string, not a const char*: gtest prints a
+// pointer parameter as its address, which would put a per-process
+// value into the listed test name.
 class ExtensionFunctional
-    : public testing::TestWithParam<std::tuple<const char*, unsigned>>
+    : public testing::TestWithParam<std::tuple<std::string, unsigned>>
 {
 };
 

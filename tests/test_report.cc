@@ -11,7 +11,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -22,23 +21,14 @@
 #include "report/figures.hh"
 #include "report/report.hh"
 
+#include "test_util.hh"
+
 namespace eve::report
 {
 namespace
 {
 
-namespace fs = std::filesystem;
-
-/** Fresh scratch directory under the test's temp root. */
-std::string
-scratchDir(const std::string& tag)
-{
-    const fs::path dir =
-        fs::temp_directory_path() / ("eve_report_test_" + tag);
-    fs::remove_all(dir);
-    fs::create_directories(dir);
-    return dir.string();
-}
+using eve::test::freshDir;
 
 exp::JobResult
 makeResult(const std::string& system, const std::string& workload,
@@ -68,7 +58,7 @@ writeArtifact(const std::string& dir, const std::string& name,
 
 TEST(ReportLoad, RoundTripsSinkRecords)
 {
-    const std::string dir = scratchDir("load");
+    const std::string dir = freshDir("load");
     writeArtifact(dir, "sweep.jsonl",
                   {makeResult("IO", "vvadd", 100.0),
                    makeResult("O3+EVE-8", "vvadd", 25.0)});
@@ -90,7 +80,7 @@ TEST(ReportLoad, RoundTripsSinkRecords)
 
 TEST(ReportLoad, SkipsMalformedLinesAndCacheFile)
 {
-    const std::string dir = scratchDir("malformed");
+    const std::string dir = freshDir("malformed");
     writeArtifact(dir, "sweep.jsonl", {makeResult("IO", "vvadd", 1.0)});
     {
         std::ofstream out(dir + "/sweep.jsonl", std::ios::app);
@@ -112,7 +102,7 @@ TEST(ReportLoad, SkipsMalformedLinesAndCacheFile)
 
 TEST(ReportLoad, DedupIsLastWinsPerCell)
 {
-    const std::string dir = scratchDir("dedup");
+    const std::string dir = freshDir("dedup");
     writeArtifact(dir, "sweep.jsonl",
                   {makeResult("IO", "vvadd", 100.0),
                    makeResult("IO", "vvadd", 50.0)});
@@ -123,7 +113,7 @@ TEST(ReportLoad, DedupIsLastWinsPerCell)
 
 TEST(ReportFigures, Fig6SpeedupOverIo)
 {
-    const std::string dir = scratchDir("fig6");
+    const std::string dir = freshDir("fig6");
     writeArtifact(dir, "sweep.jsonl",
                   {makeResult("IO", "vvadd", 100.0),
                    makeResult("O3+EVE-8", "vvadd", 25.0),
@@ -142,9 +132,32 @@ TEST(ReportFigures, Fig6SpeedupOverIo)
     EXPECT_DOUBLE_EQ(fig.at(0, 2), 4.0);
 }
 
+TEST(ReportFigures, ExactRecordBeatsSampledOnSharedAxis)
+{
+    // A --pf sweep gives exact and sampled records the same pf axis;
+    // the sampled file sorts last but must not replace the exact
+    // cell.
+    auto axed = [](exp::JobResult r, bool sampled) {
+        r.axes = {{"pf", "8"}};
+        r.result.sampled = sampled;
+        return r;
+    };
+    const std::string dir = freshDir("exact_vs_sampled");
+    writeArtifact(dir, "a_exact.jsonl",
+                  {axed(makeResult("IO", "vvadd", 100.0), false),
+                   axed(makeResult("O3+EVE-8", "vvadd", 25.0), false)});
+    writeArtifact(dir, "b_sampled.jsonl",
+                  {axed(makeResult("O3+EVE-8", "vvadd", 50.0), true)});
+    const auto fig = fig6Performance(loadSweepDir(dir));
+    ASSERT_EQ(fig.rows.size(), 1u);
+    ASSERT_EQ(fig.columns.size(), 2u);
+    EXPECT_EQ(fig.columns[1], "O3+EVE-8");
+    EXPECT_DOUBLE_EQ(fig.at(0, 1), 4.0);
+}
+
 TEST(ReportFigures, Table4PicksMostCapableVectorSystem)
 {
-    const std::string dir = scratchDir("tab4");
+    const std::string dir = freshDir("tab4");
     writeArtifact(dir, "sweep.jsonl",
                   {makeResult("O3+DV", "sw", 10.0),
                    makeResult("O3+EVE-8", "sw", 5.0)});
@@ -161,7 +174,7 @@ TEST(ReportFigures, Table4PicksMostCapableVectorSystem)
 
 TEST(ReportDeltas, IdenticalRunsHaveZeroDeltas)
 {
-    const std::string dir = scratchDir("zero");
+    const std::string dir = freshDir("zero");
     writeArtifact(dir, "sweep.jsonl",
                   {makeResult("IO", "vvadd", 100.0),
                    makeResult("O3+EVE-8", "vvadd", 25.0)});
@@ -175,8 +188,8 @@ TEST(ReportDeltas, IdenticalRunsHaveZeroDeltas)
 
 TEST(ReportDeltas, RegressionGateMath)
 {
-    const std::string base_dir = scratchDir("base");
-    const std::string cur_dir = scratchDir("cur");
+    const std::string base_dir = freshDir("base");
+    const std::string cur_dir = freshDir("cur");
     writeArtifact(base_dir, "sweep.jsonl",
                   {makeResult("IO", "vvadd", 100.0, 1000)});
     writeArtifact(cur_dir, "sweep.jsonl",
@@ -193,8 +206,8 @@ TEST(ReportDeltas, RegressionGateMath)
 
 TEST(ReportDeltas, StatusDegradationFailsGate)
 {
-    const std::string base_dir = scratchDir("sbase");
-    const std::string cur_dir = scratchDir("scur");
+    const std::string base_dir = freshDir("sbase");
+    const std::string cur_dir = freshDir("scur");
     writeArtifact(base_dir, "sweep.jsonl",
                   {makeResult("IO", "vvadd", 100.0)});
     auto bad = makeResult("IO", "vvadd", 100.0);
@@ -209,8 +222,8 @@ TEST(ReportDeltas, StatusDegradationFailsGate)
 
 TEST(ReportDeltas, MissingCellFailsGateNewCellDoesNot)
 {
-    const std::string base_dir = scratchDir("mbase");
-    const std::string cur_dir = scratchDir("mcur");
+    const std::string base_dir = freshDir("mbase");
+    const std::string cur_dir = freshDir("mcur");
     writeArtifact(base_dir, "sweep.jsonl",
                   {makeResult("IO", "vvadd", 100.0),
                    makeResult("O3", "vvadd", 50.0)});
@@ -226,7 +239,7 @@ TEST(ReportDeltas, MissingCellFailsGateNewCellDoesNot)
 
 TEST(ReportArtifacts, WritesCsvGnuplotSvgPerFigure)
 {
-    const std::string dir = scratchDir("art");
+    const std::string dir = freshDir("art");
     writeArtifact(dir, "sweep.jsonl",
                   {makeResult("IO", "vvadd", 100.0),
                    makeResult("O3+EVE-8", "vvadd", 25.0)});

@@ -10,7 +10,9 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 #include <string_view>
+#include <vector>
 
 #include "common/bits.hh"
 #include "driver/system.hh"
@@ -28,8 +30,11 @@ namespace
 const char* const kRivec[] = {"axpy", "blackscholes", "streamcluster",
                               "particlefilter"};
 
+// The kernel name is a std::string, not a const char*: gtest prints a
+// pointer parameter as its address, which would put a per-process
+// value into the listed test name.
 class RivecFunctional
-    : public testing::TestWithParam<std::tuple<const char*, unsigned>>
+    : public testing::TestWithParam<std::tuple<std::string, unsigned>>
 {
 };
 
@@ -46,7 +51,8 @@ TEST_P(RivecFunctional, VectorProgramMatchesReference)
 
 INSTANTIATE_TEST_SUITE_P(
     Sweep, RivecFunctional,
-    testing::Combine(testing::ValuesIn(kRivec),
+    testing::Combine(testing::ValuesIn(std::vector<std::string>(
+                         std::begin(kRivec), std::end(kRivec))),
                      testing::Values(4u, 64u, 100u, 1024u)),
     [](const auto& info) {
         std::string name = std::get<0>(info.param);

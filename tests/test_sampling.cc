@@ -1,9 +1,10 @@
 /**
  * @file
  * Interval-sampling and checkpoint tests: schedule canonicalization,
- * warmup-filter bookkeeping, sampled-run determinism (across runs
- * and sim-thread counts), the extrapolation error bound, checkpoint
- * save/restore byte-identity, and salt-skew quarantine.
+ * warmup-filter bookkeeping, sampled-run determinism, the
+ * extrapolation error bound, sampled == exact when one window covers
+ * the stream, checkpoint save/restore byte-identity, and salt-skew
+ * quarantine.
  */
 
 #include <gtest/gtest.h>
@@ -17,29 +18,23 @@
 #include "sim/sampling.hh"
 #include "workloads/workload.hh"
 
+#include "test_util.hh"
+
 using namespace eve;
 using namespace eve::exp;
+using eve::test::freshDir;
 
 namespace
 {
 
-/** A fresh, empty scratch directory under the gtest temp dir. */
-std::string
-freshDir(const std::string& name)
-{
-    const std::string dir = ::testing::TempDir() + name;
-    std::filesystem::remove_all(dir);
-    std::filesystem::create_directories(dir);
-    return dir;
-}
-
-/** One O3+EVE-8 job over @p workload at small scale. */
+/** One job over @p workload at small scale (O3+EVE-8 by default). */
 Job
-smallJob(const std::string& workload, const SamplingConfig& sampling)
+smallJob(const std::string& workload, const SamplingConfig& sampling,
+         SystemKind kind = SystemKind::O3EVE)
 {
     SweepSpec spec;
     SystemConfig cfg;
-    cfg.kind = SystemKind::O3EVE;
+    cfg.kind = kind;
     cfg.eve_pf = 8;
     spec.system(cfg);
     spec.workloads({workload}, std::string("small"));
@@ -186,20 +181,6 @@ TEST(Sampling, SampledRunIsDeterministic)
               resultToJson(b, /*include_host_time=*/false));
 }
 
-TEST(Sampling, SimThreadCountDoesNotChangeSampledBytes)
-{
-    const Job job = smallJob("mmult", testSchedule());
-
-    JobResult t1, t2, t8;
-    runJob(job, t1, 1);
-    runJob(job, t2, 2);
-    runJob(job, t8, 8);
-    ASSERT_EQ(t1.status, JobStatus::Ok);
-    const std::string r1 = resultToJson(t1, false);
-    EXPECT_EQ(r1, resultToJson(t2, false));
-    EXPECT_EQ(r1, resultToJson(t8, false));
-}
-
 TEST(Sampling, ExtrapolatedCyclesWithinErrorBound)
 {
     for (const char* name : {"mmult", "k-means"}) {
@@ -228,19 +209,41 @@ TEST(Sampling, ExtrapolatedCyclesWithinErrorBound)
 
 TEST(Sampling, ShortStreamIsFullyMeasured)
 {
-    // vvadd small (40 records) fits entirely inside window 0, so the
-    // extrapolation factor is exactly 1 and sampled == exact.
-    Job exact_job = smallJob("vvadd", SamplingConfig{});
-    JobResult exact;
-    runJob(exact_job, exact);
+    // A schedule whose first measured window spans the whole stream
+    // never fast-forwards and extrapolates by exactly 1, so the
+    // sampled run must reproduce the exact one on every system.
+    for (SystemKind kind :
+         {SystemKind::IO, SystemKind::O3, SystemKind::O3IV,
+          SystemKind::O3DV, SystemKind::O3EVE}) {
+        SCOPED_TRACE(systemKindName(kind));
+        JobResult exact;
+        runJob(smallJob("vvadd", SamplingConfig{}, kind), exact);
+        ASSERT_EQ(exact.status, JobStatus::Ok);
 
-    const Job sampled_job = smallJob("vvadd", testSchedule());
-    JobResult sampled;
-    runJob(sampled_job, sampled);
-    ASSERT_EQ(sampled.status, JobStatus::Ok);
-    EXPECT_EQ(sampled.result.sampled_measured_instrs,
-              exact.result.instrs);
-    EXPECT_DOUBLE_EQ(sampled.result.cycles, exact.result.cycles);
+        SamplingConfig whole;
+        whole.interval = exact.result.instrs;
+        whole.warmup = exact.result.instrs / 5;
+        whole.stride = 4;
+        JobResult sampled;
+        runJob(smallJob("vvadd", whole, kind), sampled);
+        ASSERT_EQ(sampled.status, JobStatus::Ok);
+        const RunResult& e = exact.result;
+        const RunResult& s = sampled.result;
+        ASSERT_TRUE(s.sampled);
+        EXPECT_EQ(s.sample_windows, 1u);
+        EXPECT_EQ(s.sampled_measured_instrs, e.instrs);
+
+        EXPECT_EQ(s.instrs, e.instrs);
+        EXPECT_EQ(s.vecInstrs, e.vecInstrs);
+        EXPECT_EQ(s.vecElemOps, e.vecElemOps);
+        EXPECT_EQ(s.total_ticks, e.total_ticks);
+        EXPECT_EQ(s.cycles, e.cycles);
+        EXPECT_EQ(s.stats, e.stats);
+        EXPECT_EQ(s.has_breakdown, kind == SystemKind::O3EVE);
+        EXPECT_EQ(s.has_breakdown, e.has_breakdown);
+        EXPECT_EQ(s.breakdown, e.breakdown);
+        EXPECT_EQ(s.vmu_cache_stall_ticks, e.vmu_cache_stall_ticks);
+    }
 }
 
 TEST(Checkpoint, ColdRunSavesWarmRunRestoresByteIdentically)
@@ -249,7 +252,7 @@ TEST(Checkpoint, ColdRunSavesWarmRunRestoresByteIdentically)
     const Job job = smallJob("k-means", testSchedule());
 
     JobResult cold;
-    runJob(job, cold, 1, dir);
+    runJob(job, cold, dir);
     ASSERT_EQ(cold.status, JobStatus::Ok);
     EXPECT_EQ(cold.result.checkpoint, "saved");
 
@@ -260,7 +263,7 @@ TEST(Checkpoint, ColdRunSavesWarmRunRestoresByteIdentically)
     EXPECT_EQ(files, 1u);
 
     JobResult warm;
-    runJob(job, warm, 1, dir);
+    runJob(job, warm, dir);
     ASSERT_EQ(warm.status, JobStatus::Ok);
     EXPECT_EQ(warm.result.checkpoint, "restored");
 
@@ -275,7 +278,7 @@ TEST(Checkpoint, ExactRunsIgnoreTheCheckpointDir)
     const std::string dir = freshDir("ckpt_exact");
     const Job job = smallJob("mmult", SamplingConfig{});
     JobResult r;
-    runJob(job, r, 1, dir);
+    runJob(job, r, dir);
     ASSERT_EQ(r.status, JobStatus::Ok);
     EXPECT_EQ(r.result.checkpoint, "");
     EXPECT_TRUE(std::filesystem::is_empty(dir));

@@ -11,6 +11,7 @@
  */
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
@@ -26,27 +27,27 @@
 #include "svc/service.hh"
 #include "workloads/workload.hh"
 
+#include "test_util.hh"
+
 using namespace eve;
 using namespace eve::exp;
+using eve::test::freshDir;
 using namespace eve::svc;
 
 namespace
 {
 
-/** A fresh, empty scratch directory under the gtest temp dir. */
-std::string
-freshDir(const std::string& name)
-{
-    const std::string dir = ::testing::TempDir() + name;
-    std::filesystem::remove_all(dir);
-    return dir;
-}
-
-/** Short socket paths: sun_path caps out around 100 characters. */
+/**
+ * Short socket paths: sun_path caps out around 100 characters, too
+ * few for the scratch root. The process id keeps concurrent suite
+ * runs apart, as it does for freshDir().
+ */
 std::string
 shortSocket(const std::string& name)
 {
-    const std::string path = "/tmp/eve-svc-test-" + name + ".sock";
+    const std::string path = "/tmp/eve-svc-" +
+                             std::to_string(::getpid()) + "-" + name +
+                             ".sock";
     std::filesystem::remove(path);
     return path;
 }
@@ -271,9 +272,9 @@ TEST(SvcProto, SubmitCarriesSamplingOnlyWhenSet)
 
 TEST(SvcService, WorkerArgsForwardExecutionOptions)
 {
-    // Satellite regression: the daemon's spawned workers used to
-    // drop sim_threads (and would have dropped checkpoint_dir) on
-    // the floor — DistOptions carried them, the exec argv did not.
+    // Regression: the daemon's spawned workers used to drop
+    // execution options on the floor — DistOptions carried them, the
+    // exec argv did not.
     exp::DistOptions d;
     d.jobs_dir = "/pool";
     d.lease_timeout_s = 60;
@@ -290,22 +291,18 @@ TEST(SvcService, WorkerArgsForwardExecutionOptions)
         return false;
     };
 
-    // Defaults: no sim-threads (inline) and no checkpoint flags.
+    // Defaults: no checkpoint flag.
     std::vector<std::string> args = workerArgs(d);
     ASSERT_FALSE(args.empty());
     EXPECT_EQ(args[1], "--worker");
     EXPECT_TRUE(has_flag(args, "--jobs-dir", "/pool"));
-    for (const auto& a : args) {
-        EXPECT_NE(a, "--sim-threads");
+    for (const auto& a : args)
         EXPECT_NE(a, "--checkpoint-dir");
-    }
 
-    d.sim_threads = 4;
     d.checkpoint_dir = "/ckpt";
     d.worker_id = "floor-0";
     d.idle_exit_s = 5;
     args = workerArgs(d);
-    EXPECT_TRUE(has_flag(args, "--sim-threads", "4"));
     EXPECT_TRUE(has_flag(args, "--checkpoint-dir", "/ckpt"));
     EXPECT_TRUE(has_flag(args, "--worker-id", "floor-0"));
     EXPECT_TRUE(has_flag(args, "--idle-exit", "5.000000"));

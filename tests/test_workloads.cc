@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "isa/functional.hh"
 #include "isa/program.hh"
 #include "workloads/workload.hh"
@@ -17,8 +19,11 @@ namespace eve
 namespace
 {
 
+// The kernel name is a std::string, not a const char*: gtest prints a
+// pointer parameter as its address, which would put a per-process
+// value into the listed test name.
 class WorkloadFunctional
-    : public testing::TestWithParam<std::tuple<const char*, unsigned>>
+    : public testing::TestWithParam<std::tuple<std::string, unsigned>>
 {
 };
 

@@ -28,9 +28,6 @@
  *                     for fast parity runs — and the speed table is
  *                     suppressed: per-job wall times overlap, so
  *                     jobs/s would be meaningless.
- *   --sim-threads N   threads pipelining each simulation (default 1;
- *                     timing-parity guarded, so a pure wall-clock
- *                     knob)
  *   --json PATH       write the speed report as JSON
  *   --baseline-jps X  record speedup vs. a baseline jobs/sec
  *   --parity PATH     timing-parity check against golden PATH
@@ -102,7 +99,6 @@ main(int argc, char** argv)
     bool quiet = false;
     unsigned iters = 1;
     unsigned threads = 1;
-    unsigned sim_threads = 1;
     std::string json_path, check_path, update_path;
     std::string sample_spec, checkpoint_dir;
     double baseline_jps = 0;
@@ -136,9 +132,6 @@ main(int argc, char** argv)
         else if (arg == "--threads")
             threads =
                 unsigned(std::strtoul(value().c_str(), nullptr, 10));
-        else if (arg == "--sim-threads")
-            sim_threads =
-                unsigned(std::strtoul(value().c_str(), nullptr, 10));
         else if (arg == "--json")
             json_path = value();
         else if (arg == "--baseline-jps")
@@ -154,16 +147,13 @@ main(int argc, char** argv)
                 "usage: eve_perf [--systems LIST] [--pf LIST]\n"
                 "  [--workloads LIST] [--small | --paper] [--iters N]\n"
                 "  [--sample SPEC] [--checkpoint-dir PATH]\n"
-                "  [--threads N] [--sim-threads N]\n"
-                "  [--json PATH] [--baseline-jps X]\n"
+                "  [--threads N] [--json PATH] [--baseline-jps X]\n"
                 "  [--parity GOLDEN | --check GOLDEN |\n"
                 "   --update GOLDEN] [--quiet]\n"
                 "\n"
                 "--threads N > 1 runs the grid on a job-level thread\n"
                 "pool (fast parity runs); the speed table and --json\n"
-                "are unavailable because per-job wall times overlap.\n"
-                "--sim-threads N pipelines each simulation; timing is\n"
-                "byte-identical at any value (parity-guarded).\n");
+                "are unavailable because per-job wall times overlap.\n");
             return 0;
         } else
             fatal("unknown flag '%s' (try --help)", arg.c_str());
@@ -224,7 +214,6 @@ main(int argc, char** argv)
                   "meaningful when jobs run serially)");
         exp::RunnerOptions ropts;
         ropts.threads = threads;
-        ropts.sim_threads = sim_threads;
         ropts.checkpoint_dir = checkpoint_dir;
         report.results = exp::Runner(ropts).run(jobs);
         for (const auto& r : report.results)
@@ -233,8 +222,7 @@ main(int argc, char** argv)
                       exp::jobStatusName(r.status),
                       r.error.empty() ? "" : ": ", r.error.c_str());
     } else {
-        report = exp::measureSimSpeed(jobs, iters, sim_threads,
-                                      checkpoint_dir);
+        report = exp::measureSimSpeed(jobs, iters, checkpoint_dir);
     }
 
     if (!quiet && threads > 1) {

@@ -24,11 +24,6 @@
  *   --prefetch  LLC prefetch line depths        (axis)
  *   --workloads workload names (default: all paper workloads)
  *   --threads   worker threads (default: hardware concurrency)
- *   --sim-threads N  threads pipelining each simulation (default 1).
- *               Simulated timing is byte-identical at any value
- *               (parity-guarded), so results and cache keys are
- *               unaffected — a pure wall-clock knob. Applies to
- *               in-process lanes and --worker execution alike.
  *   --parity GOLDEN  after the sweep, check every result's timing
  *               fingerprint against the golden file (same format and
  *               semantics as `eve_perf --parity`); exit 1 and list
@@ -300,10 +295,6 @@ main(int argc, char** argv)
             prefetch = splitUnsigned(flag, need(i)); ++i;
         } else if (flag == "--threads") {
             opts.threads = splitUnsigned(flag, need(i)).front(); ++i;
-        } else if (flag == "--sim-threads") {
-            opts.sim_threads = splitUnsigned(flag, need(i)).front();
-            dist.sim_threads = opts.sim_threads;
-            ++i;
         } else if (flag == "--parity") {
             parity_path = need(i); ++i;
         } else if (flag == "--json") {
@@ -380,8 +371,7 @@ main(int argc, char** argv)
                 "usage: eve_sweep [--systems LIST] [--pf LIST]\n"
                 "  [--llc-mshrs LIST] [--l2-mshrs LIST] [--dtus LIST]\n"
                 "  [--prefetch LIST] [--workloads LIST] [--threads N]\n"
-                "  [--sim-threads N] [--parity GOLDEN]\n"
-                "  [--small | --paper] [--sample SPEC]\n"
+                "  [--parity GOLDEN] [--small | --paper] [--sample SPEC]\n"
                 "  [--checkpoint-dir PATH]\n"
                 "  [--keep-going|--abort-on-failure]\n"
                 "  [--json PATH] [--json-payload PATH] [--csv PATH]\n"
@@ -392,10 +382,8 @@ main(int argc, char** argv)
                 "  [--worker-id ID] [--lease-timeout SEC]\n"
                 "  [--heartbeat SEC] [--poll SEC] [--join-timeout SEC]\n"
                 "  [--max-attempts N] [--persistent] [--idle-exit SEC]\n"
-                "  [--sim-threads N] [--checkpoint-dir PATH] [--quiet]\n"
+                "  [--checkpoint-dir PATH] [--quiet]\n"
                 "\n"
-                "--sim-threads pipelines each simulation; timing is\n"
-                "byte-identical at any value (parity-guarded).\n"
                 "--sample runs interval sampling (extrapolated\n"
                 "cycles, keyed separately from exact results);\n"
                 "--checkpoint-dir reuses functional fast-forward\n"
