@@ -2,12 +2,11 @@
  * @file
  * Minimal JSON value and recursive-descent parser.
  *
- * Originally private to the result cache (parsing resultToJson
- * records back); promoted to common/ when the sweep service grew a
- * newline-delimited JSON wire protocol that needs the same parser.
- * Object members keep insertion order, so ordered payloads (axes
- * maps, stat maps) survive round trips; the serializing side lives
- * in common/stats.hh (jsonEscape, jsonNumber, statsToJson).
+ * Shared by the result cache (parsing resultToJson records back) and
+ * the eve_report loader (reading sweep JSONL artifacts). Object
+ * members keep insertion order, so ordered payloads (axes maps, stat
+ * maps) survive round trips; the serializing side lives in
+ * common/stats.hh (jsonEscape, jsonNumber, statsToJson).
  */
 
 #ifndef EVE_COMMON_JSON_HH
@@ -36,7 +35,6 @@ struct JsonValue
     const JsonValue* find(const std::string& key) const;
 
     bool isObject() const { return type == Type::Object; }
-    bool isArray() const { return type == Type::Array; }
     bool isString() const { return type == Type::String; }
     bool isNumber() const { return type == Type::Number; }
 };

@@ -46,15 +46,6 @@ StatGroup::has(const std::string& stat) const
     return it != index.end() && entries[it->second].touched;
 }
 
-void
-StatGroup::clear()
-{
-    for (Entry& e : entries) {
-        e.value = 0;
-        e.touched = false;
-    }
-}
-
 std::vector<std::pair<std::string, double>>
 StatGroup::sorted() const
 {
@@ -143,7 +134,10 @@ statsToJson(const std::map<std::string, double>& values)
         if (!first)
             out += ",";
         first = false;
-        out += "\"" + jsonEscape(stat) + "\":" + jsonNumber(value);
+        out += '"';
+        out += jsonEscape(stat);
+        out += "\":";
+        out += jsonNumber(value);
     }
     out += "}";
     return out;

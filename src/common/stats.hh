@@ -11,9 +11,9 @@
  * counter millions of times per run pay one array index per update
  * instead of a string-keyed map lookup. The string overloads remain
  * for cold paths and tests. Output (sorted/dump/toJson) includes only
- * counters that have been touched since construction or clear(), so
- * pre-registering Ids in a constructor does not change what a
- * component reports — a requirement of the timing-parity guard.
+ * counters that have been touched, so pre-registering Ids in a
+ * constructor does not change what a component reports — a
+ * requirement of the timing-parity guard.
  */
 
 #ifndef EVE_COMMON_STATS_HH
@@ -38,8 +38,7 @@ class StatGroup
 
     /**
      * Resolve @p stat to its Id, registering it (untouched, zero) on
-     * first use. Ids stay valid for the group's lifetime — clear()
-     * zeroes values but never invalidates handles.
+     * first use. Ids stay valid for the group's lifetime.
      */
     Id id(const std::string& stat);
 
@@ -83,9 +82,6 @@ class StatGroup
 
     /** True iff the counter has been touched. */
     bool has(const std::string& stat) const;
-
-    /** Reset every counter to zero (registered Ids stay valid). */
-    void clear();
 
     /** Name given at construction. */
     const std::string& name() const { return groupName; }

@@ -6,9 +6,9 @@
  * opposed to kSimulatorSalt (exp/cache.hh), which names the *timing
  * semantics* generation. The two move independently: every release
  * bumps the version; only changes that shift simulated numbers bump
- * the salt. Both are stamped into `eve_sweep --status` output and
- * the sweep service's hello/metrics replies so that version or salt
- * skew across a fleet is diagnosable before a submission is refused.
+ * the salt. Both are stamped into `eve_sweep --status` output so
+ * that version or salt skew across a fleet of workers is diagnosable
+ * before their jobs are refused.
  */
 
 #ifndef EVE_COMMON_VERSION_HH

@@ -45,6 +45,20 @@ systemKindName(SystemKind kind)
     return "?";
 }
 
+bool
+parseSystemKind(const std::string& name, SystemKind& out)
+{
+    for (SystemKind kind : {SystemKind::IO, SystemKind::O3,
+                            SystemKind::O3IV, SystemKind::O3DV,
+                            SystemKind::O3EVE}) {
+        if (name == systemKindName(kind)) {
+            out = kind;
+            return true;
+        }
+    }
+    return false;
+}
+
 std::string
 configCanonical(const SystemConfig& config)
 {
@@ -113,13 +127,8 @@ parseConfigCanonical(const std::string& text, SystemConfig& out)
     static const std::string kKindPrefix = "kind=";
     if (toks[0].rfind(kKindPrefix, 0) != 0)
         return false;
-    const std::string kind = toks[0].substr(kKindPrefix.size());
-    if (kind == "IO") cfg.kind = SystemKind::IO;
-    else if (kind == "O3") cfg.kind = SystemKind::O3;
-    else if (kind == "O3IV") cfg.kind = SystemKind::O3IV;
-    else if (kind == "O3DV") cfg.kind = SystemKind::O3DV;
-    else if (kind == "O3EVE") cfg.kind = SystemKind::O3EVE;
-    else return false;
+    if (!parseSystemKind(toks[0].substr(kKindPrefix.size()), cfg.kind))
+        return false;
 
     if (!parseField(toks[1], "eve_pf", cfg.eve_pf) ||
         !parseField(toks[2], "llc_mshrs", cfg.llc_mshrs) ||

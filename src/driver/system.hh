@@ -50,6 +50,9 @@ std::string systemName(const SystemConfig& config);
 /** Symbolic kind name ("O3EVE"); stable even if systemName changes. */
 const char* systemKindName(SystemKind kind);
 
+/** Inverse of systemKindName(); false on an unknown @p name. */
+bool parseSystemKind(const std::string& name, SystemKind& out);
+
 /**
  * Canonical serialization of *every* SystemConfig field, in
  * declaration order ("kind=O3EVE;eve_pf=8;..."). This is the

@@ -240,13 +240,6 @@ ResultCache::lookup(const Job& job, JobResult& out) const
     return true;
 }
 
-const std::string*
-ResultCache::recordText(const std::string& key) const
-{
-    const auto it = entries.find(key);
-    return it == entries.end() ? nullptr : &it->second;
-}
-
 void
 ResultCache::store(const Job& job, const JobResult& r)
 {
@@ -255,26 +248,8 @@ ResultCache::store(const Job& job, const JobResult& r)
     const std::string key = jobKey(job, salt);
     if (entries.count(key))
         return;
-    append(key, resultToJson(r, /*include_host_time=*/true));
-}
+    std::string record = resultToJson(r, /*include_host_time=*/true);
 
-bool
-ResultCache::storeRecord(const std::string& key,
-                         const std::string& record)
-{
-    JobResult parsed;
-    if (key.size() != 16 || !parseResultJson(record, parsed) ||
-        parsed.status != JobStatus::Ok)
-        return false; // only verified-Ok records may enter the cache
-    if (entries.count(key))
-        return false;
-    append(key, record);
-    return true;
-}
-
-void
-ResultCache::append(const std::string& key, std::string record)
-{
     std::error_code ec;
     std::filesystem::create_directories(dir, ec);
     if (ec)
@@ -283,9 +258,10 @@ ResultCache::append(const std::string& key, std::string record)
     const std::string line =
         "{\"key\":\"" + key + "\",\"record\":" + record + "}\n";
     {
-        // Serialize appends across processes (an orchestrator and a
-        // bench sharing EVE_EXP_CACHE_DIR): one flock'd single write
-        // per entry, so lines never interleave.
+        // Serialize appends across processes (concurrent sweeps,
+        // orchestrators and benches sharing one cache directory):
+        // one flock'd single write per entry, so lines never
+        // interleave.
         FileLock lock(dir + "/cache.lock");
         std::ofstream out(filePath(), std::ios::app);
         if (!out)

@@ -77,6 +77,9 @@ bool parseResultJson(const std::string& json, JobResult& out);
 /**
  * Durable key -> record store under one directory. Not thread-safe;
  * the Runner loads before and stores after its parallel section.
+ * Several instances — in one process or many — may share a
+ * directory: appends are flock-serialized, and each instance sees
+ * the others' entries on its next load().
  */
 class ResultCache
 {
@@ -106,22 +109,6 @@ class ResultCache
      */
     void store(const Job& job, const JobResult& r);
 
-    /**
-     * The raw stored record text for @p key, or nullptr on a miss.
-     * Used by replay paths (e.g. the sweep service) that stream the
-     * original resultToJson bytes instead of re-serializing, so the
-     * byte-identity guarantee needs no round trip at all.
-     */
-    const std::string* recordText(const std::string& key) const;
-
-    /**
-     * Persist an already-serialized record under @p key (the sweep
-     * service ingesting a worker's published result file). The record
-     * must parse as a verified-Ok resultToJson record and the key must
-     * be new; returns true when the entry was stored.
-     */
-    bool storeRecord(const std::string& key, const std::string& record);
-
     /** Only verified-Ok runs may enter the cache. */
     static bool eligible(const JobResult& r)
     {
@@ -141,9 +128,6 @@ class ResultCache
     const std::string& saltString() const { return salt; }
 
   private:
-    /** flock-serialized journal append shared by the store paths. */
-    void append(const std::string& key, std::string record);
-
     std::string dir;
     std::string salt;
     std::size_t stored_count = 0;

@@ -122,12 +122,6 @@ workerStopRequested()
     return worker_stop.load(std::memory_order_relaxed);
 }
 
-void
-clearWorkerStop()
-{
-    worker_stop.store(false, std::memory_order_relaxed);
-}
-
 std::string
 distJobText(const DistJob& job)
 {
@@ -331,51 +325,6 @@ JobsDir::materialize(const std::vector<Job>& jobs)
                opts.jobs_dir.c_str(), created, jobs.size());
 }
 
-void
-JobsDir::appendPoolJobs(const std::vector<DistJob>& jobs,
-                        std::size_t pool_total)
-{
-    makeDirs(pendingDir());
-    makeDirs(claimedDir());
-    makeDirs(leaseDir());
-    makeDirs(doneDir());
-    makeDirs(failedDir());
-    makeDirs(quarantineDir());
-    makeDirs(poolDir());
-
-    for (const auto& dist : jobs) {
-        const std::string name = jobName(dist.index);
-        const std::string file = name + ".job";
-        // Authoritative pool copy first: result files carry no job
-        // key, so pool/ is the durable index -> key map a restarted
-        // daemon rebuilds its in-memory pool from.
-        if (!fileExists(poolDir() + "/" + file))
-            atomicWriteFile(poolDir() + "/" + file,
-                            distJobText(dist));
-        // Resume-safe exactly like materialize(): a job already in
-        // any protocol state is left alone.
-        if (fileExists(pendingDir() + "/" + file) ||
-            fileExists(claimedDir() + "/" + file) ||
-            fileExists(doneDir() + "/" + name + ".json") ||
-            fileExists(failedDir() + "/" + name + ".json") ||
-            fileExists(quarantineDir() + "/" + file))
-            continue;
-        atomicWriteFile(pendingDir() + "/" + file, distJobText(dist));
-    }
-
-    // A pool manifest carries the running pool size and the sentinel
-    // grid "pool": workers join on version+salt alone, while a batch
-    // orchestrator's materialize() refuses the directory (no batch
-    // grid ever fingerprints to "pool").
-    std::string text;
-    text += "version=" + std::string(kDistProtocolVersion) + "\n";
-    text += "salt=" + std::string(kSimulatorSalt) + "\n";
-    text += "total=" + std::to_string(pool_total) + "\n";
-    text += "grid=pool\n";
-    text += "mode=pool\n";
-    atomicWriteFile(manifestPath(), text);
-}
-
 bool
 JobsDir::readManifestInfo(ManifestInfo& out) const
 {
@@ -383,7 +332,6 @@ JobsDir::readManifestInfo(ManifestInfo& out) const
     if (!readFile(manifestPath(), text))
         return false;
     ManifestInfo info;
-    info.mode = "sweep"; // pre-pool manifests carry no mode line
     std::istringstream is(text);
     std::string line;
     while (std::getline(is, line)) {
@@ -393,7 +341,6 @@ JobsDir::readManifestInfo(ManifestInfo& out) const
         else if (lineValue(line, "total", v))
             info.total = std::strtoull(v.c_str(), nullptr, 10);
         else if (lineValue(line, "grid", v)) info.grid = v;
-        else if (lineValue(line, "mode", v)) info.mode = v;
     }
     out = std::move(info);
     return true;
@@ -772,7 +719,6 @@ runDistWorker(const DistOptions& opts,
     std::vector<std::string> unrebuildable;
     std::mutex progress_mutex;
     std::size_t local_done = 0;
-    auto last_claim = std::chrono::steady_clock::now();
 
     while (true) {
         if (dir.stopRequested() || workerStopRequested()) {
@@ -784,32 +730,21 @@ runDistWorker(const DistOptions& opts,
 
         DistJob dist;
         if (!dir.claimNext(dist, unrebuildable)) {
-            if (!opts.persistent) {
-                const DistStatus s = dir.status();
-                if (s.complete())
-                    return report;
-                if (s.claimed == 0 && !unrebuildable.empty() &&
-                    s.pending <= unrebuildable.size()) {
-                    // Everything left is refused by this worker;
-                    // leave it for a compatible one.
-                    warn("worker %s: %zu job(s) not rebuildable by "
-                         "this binary; exiting",
-                         dir.workerId().c_str(),
-                         unrebuildable.size());
-                    return report;
-                }
-            }
-            if (opts.idle_exit_s > 0 &&
-                std::chrono::duration<double>(
-                    std::chrono::steady_clock::now() - last_claim)
-                        .count() >= opts.idle_exit_s) {
-                report.idled = true;
+            const DistStatus s = dir.status();
+            if (s.complete())
+                return report;
+            if (s.claimed == 0 && !unrebuildable.empty() &&
+                s.pending <= unrebuildable.size()) {
+                // Everything left is refused by this worker; leave
+                // it for a compatible one.
+                warn("worker %s: %zu job(s) not rebuildable by this "
+                     "binary; exiting",
+                     dir.workerId().c_str(), unrebuildable.size());
                 return report;
             }
             sleepFor(dir.options().poll_s);
             continue;
         }
-        last_claim = std::chrono::steady_clock::now();
 
         // Resolve the claim to a runnable Job: in-memory first
         // (orchestrator lanes and bench harnesses hold the real

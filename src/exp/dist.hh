@@ -117,23 +117,6 @@ struct DistOptions
     unsigned max_attempts = 3;
 
     /**
-     * Persistent (service-pool) worker: never exit because the
-     * directory looks complete — a pool grows as new sweeps are
-     * submitted, so "complete" is a momentary state, not the end.
-     * Such a worker exits only on the stop marker, the cooperative
-     * stop flag (requestWorkerStop), or @ref idle_exit_s.
-     */
-    bool persistent = false;
-
-    /**
-     * Self-retirement: exit after this long without a successful
-     * claim (0 = never). The sweep service's elastic scale-down is
-     * exactly this — idle workers retire themselves, and the daemon
-     * spawns replacements when queue depth grows again.
-     */
-    double idle_exit_s = 0;
-
-    /**
      * Orchestrator-side in-process execution lanes. 0 = coordinate
      * only (reclaim, wait, merge) and execute nothing locally.
      */
@@ -208,8 +191,7 @@ struct ManifestInfo
 {
     std::string version; ///< protocol version the dir was built under
     std::string salt;    ///< simulator salt the dir was built under
-    std::string grid;    ///< grid fingerprint, or "pool"
-    std::string mode;    ///< "sweep" (batch) or "pool" (service)
+    std::string grid;    ///< grid fingerprint
     std::size_t total = 0;
 };
 
@@ -222,7 +204,6 @@ struct ManifestInfo
  */
 void requestWorkerStop();
 bool workerStopRequested();
-void clearWorkerStop();
 
 /**
  * Protocol handle over one jobs directory. Each concurrent actor
@@ -250,19 +231,6 @@ class JobsDir
      * holds a different grid (mismatched manifest).
      */
     void materialize(const std::vector<Job>& jobs);
-
-    /**
-     * Service-pool materialization: append @p jobs (daemon-assigned
-     * pool indices) to a *growing* multi-sweep pool. Each job gets an
-     * authoritative copy under pool/ — the durable index -> key map a
-     * restarted daemon recovers from — plus a pending/ claim file
-     * unless it is already in some protocol state. The manifest is
-     * rewritten with mode=pool and the running pool total; workers
-     * join it exactly like a batch directory, but a batch
-     * orchestrator's materialize() refuses it (grid mismatch).
-     */
-    void appendPoolJobs(const std::vector<DistJob>& jobs,
-                        std::size_t pool_total);
 
     /** The manifest, parsed; total == 0 when absent/unreadable. */
     DistStatus manifest() const;
@@ -338,7 +306,6 @@ class JobsDir
     {
         return opts.jobs_dir + "/quarantine";
     }
-    std::string poolDir() const { return opts.jobs_dir + "/pool"; }
     std::string manifestPath() const
     {
         return opts.jobs_dir + "/manifest.txt";
@@ -385,7 +352,6 @@ struct WorkerReport
     std::size_t quarantined = 0;  ///< partial files quarantined
     std::size_t unrebuildable = 0;///< claims refused (key mismatch…)
     bool stopped = false;         ///< exited on stop marker/flag
-    bool idled = false;           ///< self-retired after idle_exit_s
     bool joined = true;           ///< manifest appeared in time
 };
 

@@ -59,6 +59,31 @@ eveDesignSystems()
     return systems;
 }
 
+bool
+namedSystems(const std::vector<std::string>& kinds,
+             const std::vector<unsigned>& pfs,
+             std::vector<SystemConfig>& out, std::string& unknown)
+{
+    std::vector<SystemConfig> systems;
+    for (const auto& name : kinds) {
+        SystemConfig cfg;
+        if (!parseSystemKind(name, cfg.kind)) {
+            unknown = name;
+            return false;
+        }
+        if (cfg.kind != SystemKind::O3EVE || pfs.empty()) {
+            systems.push_back(cfg);
+            continue;
+        }
+        for (unsigned pf : pfs) {
+            cfg.eve_pf = pf;
+            systems.push_back(cfg);
+        }
+    }
+    out = std::move(systems);
+    return true;
+}
+
 const std::vector<std::string>&
 paperWorkloads()
 {

@@ -40,6 +40,18 @@ std::vector<SystemConfig> tableIIISystems();
 /** The EVE-only design sweep (EVE-1..32), as used by Figures 7/8. */
 std::vector<SystemConfig> eveDesignSystems();
 
+/**
+ * The systems a tool's `--systems`/`--pf` flags name: one per entry
+ * of @p kinds (IO, O3, O3IV, O3DV, O3EVE), in order, except that
+ * O3EVE expands to one EVE-N system per N in @p pfs — no other kind
+ * has a parallelization factor. An empty @p pfs leaves O3EVE at the
+ * SystemConfig default. Returns false on an unknown kind, which
+ * @p unknown then names.
+ */
+bool namedSystems(const std::vector<std::string>& kinds,
+                  const std::vector<unsigned>& pfs,
+                  std::vector<SystemConfig>& out, std::string& unknown);
+
 /** The paper's Figure 6 workload list. */
 const std::vector<std::string>& paperWorkloads();
 

@@ -140,9 +140,9 @@ void runJob(const Job& job, JobResult& out,
  * wall clock, and the RunResult — into @p out, leaving the identity
  * half (index, label, workload, config, axes) untouched. This is the
  * one splice point shared by every result-replay path (cache lookup,
- * distributed merge, service streaming): payload from the stored
- * record, identity from the live job, so replayed results re-serialize
- * byte-identically while following any relabelling of the sweep.
+ * distributed merge): payload from the stored record, identity from
+ * the live job, so replayed results re-serialize byte-identically
+ * while following any relabelling of the sweep.
  */
 void adoptPayload(JobResult& out, JobResult&& record);
 

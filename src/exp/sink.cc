@@ -18,7 +18,10 @@ namespace
 std::string
 quoted(const std::string& s)
 {
-    return "\"" + jsonEscape(s) + "\"";
+    std::string out = "\"";
+    out += jsonEscape(s);
+    out += '"';
+    return out;
 }
 
 } // namespace

@@ -49,8 +49,8 @@ isEve(const std::string& system)
  * sampled ones, then axis-free records above axis points (those
  * belong to ablation sweeps, not the headline figures); within the
  * same rank the last record wins (re-runs append). Exactness ranks
- * first because a --pf sweep gives every record, exact or sampled, a
- * pf axis.
+ * first because an ablation sweep (say --llc-mshrs) gives every
+ * record, exact or sampled, an axis.
  */
 std::map<std::pair<std::string, std::string>, Record>
 selectCells(const std::vector<Record>& records)

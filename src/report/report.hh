@@ -1,7 +1,7 @@
 /**
  * @file
  * Sweep-result reporting: load the JSONL records a sweep directory
- * holds (the artifacts eve_sweep / the benches / the daemon write),
+ * holds (the artifacts eve_sweep and the benches write),
  * group them into comparable cells, and diff two runs.
  *
  * A "cell" is one grid point of one artifact: source file + system +

@@ -10,12 +10,6 @@ PipelinedUnits::PipelinedUnits(unsigned count)
 {
 }
 
-void
-PipelinedUnits::reset()
-{
-    std::fill(freeAt.begin(), freeAt.end(), 0);
-}
-
 TokenPool::TokenPool(unsigned count) : capacity(std::max(count, 1u))
 {
     busy.reserve(capacity + 1);

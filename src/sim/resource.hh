@@ -74,9 +74,6 @@ class PipelinedUnits
     /** Earliest tick at which some unit is free, given arrival @p t. */
     Tick earliestStart(Tick t) const { return std::max(t, freeAt.front()); }
 
-    /** Reset all units to free-at-zero. */
-    void reset();
-
     unsigned count() const { return unsigned(freeAt.size()); }
 
   private:
@@ -133,9 +130,6 @@ class TokenPool
         retire(t);
         return unsigned(busy.size());
     }
-
-    /** Reset the pool to fully free. */
-    void reset() { busy.clear(); }
 
     unsigned count() const { return capacity; }
 

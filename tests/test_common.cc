@@ -1,7 +1,8 @@
 /**
  * @file
  * Unit tests for the common substrate: bit utilities, the
- * deterministic RNG, statistics, logging helpers, and clock domains.
+ * deterministic RNG, statistics, the JSON parser, logging helpers,
+ * and clock domains.
  */
 
 #include <gtest/gtest.h>
@@ -9,6 +10,7 @@
 #include <cstdarg>
 
 #include "common/bits.hh"
+#include "common/json.hh"
 #include "common/log.hh"
 #include "common/rng.hh"
 #include "common/stats.hh"
@@ -116,14 +118,6 @@ TEST(Stats, DumpContainsGroupPrefix)
     EXPECT_NE(g.dump().find("cache.hits = 10"), std::string::npos);
 }
 
-TEST(Stats, ClearResets)
-{
-    StatGroup g;
-    g.add("a", 1);
-    g.clear();
-    EXPECT_FALSE(g.has("a"));
-}
-
 TEST(Stats, MergeAccumulates)
 {
     StatGroup a("core");
@@ -165,19 +159,6 @@ TEST(Stats, PreRegisteredIdsAreInvisibleUntilTouched)
     EXPECT_EQ(g.toJson(), "{\"hits\":3,\"misses\":0}");
 }
 
-TEST(Stats, IdsStayValidAcrossClear)
-{
-    StatGroup g("core");
-    const StatGroup::Id instrs = g.id("instrs");
-    g.add(instrs, 10);
-    g.clear();
-    EXPECT_FALSE(g.has("instrs"));
-    g.add(instrs, 2);
-    EXPECT_EQ(g.get("instrs"), 2.0);
-    // id() resolves to the same handle after clear().
-    EXPECT_EQ(g.id("instrs"), instrs);
-}
-
 TEST(Stats, IdAndStringPathsAlias)
 {
     StatGroup g;
@@ -185,6 +166,8 @@ TEST(Stats, IdAndStringPathsAlias)
     g.add("x", 2);
     g.add(x, 3);
     EXPECT_EQ(g.get("x"), 5.0);
+    // id() resolves one name to the same handle every time.
+    EXPECT_EQ(g.id("x"), x);
 }
 
 TEST(Stats, ToJsonSortedAndTyped)
@@ -203,6 +186,25 @@ TEST(Stats, JsonHelpers)
     EXPECT_EQ(jsonNumber(0.25), "0.25");
     EXPECT_EQ(jsonEscape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
     EXPECT_EQ(statsToJson({{"k", 1.0}}), "{\"k\":1}");
+}
+
+TEST(Json, ParseResetsReusedValue)
+{
+    // Regression: parseObject appends, so parsing a second document
+    // into the same JsonValue used to keep the first document's
+    // members, and find() returned the stale ones.
+    JsonValue v;
+    ASSERT_TRUE(parseJson(
+        "{\"status\":\"ok\",\"index\":3,\"stats\":{\"a\":1}}", v));
+    EXPECT_EQ(jsonStringField(v, "status"), "ok");
+    EXPECT_EQ(jsonNumberField(v, "index"), 3);
+
+    ASSERT_TRUE(parseJson("{\"status\":\"failed\",\"cycles\":2}", v));
+    EXPECT_EQ(jsonStringField(v, "status"), "failed");
+    EXPECT_EQ(jsonNumberField(v, "cycles"), 2);
+    EXPECT_EQ(jsonNumberField(v, "index", -1), -1);
+    EXPECT_EQ(v.find("stats"), nullptr);
+    EXPECT_EQ(v.members.size(), 2u);
 }
 
 namespace

@@ -12,8 +12,10 @@
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
+#include <thread>
 
 #include "exp/exp.hh"
+#include "exp/perf.hh"
 #include "workloads/workload.hh"
 
 #include "test_util.hh"
@@ -129,6 +131,34 @@ TEST(SweepSpec, TwoAxesMultiply)
     EXPECT_EQ(jobs[1].config.dtus, 8u);
     EXPECT_EQ(jobs[3].config.eve_pf, 8u);
     EXPECT_EQ(jobs[3].config.dtus, 4u);
+}
+
+TEST(NamedSystems, PfMultipliesOnlyEve)
+{
+    // The --systems/--pf spelling of the Table III grid yields its
+    // ten systems, not one copy of every system per factor.
+    std::vector<SystemConfig> systems;
+    std::string unknown;
+    ASSERT_TRUE(namedSystems({"IO", "O3", "O3IV", "O3DV", "O3EVE"},
+                             {1, 2, 4, 8, 16, 32}, systems, unknown));
+    const auto table = tableIIISystems();
+    ASSERT_EQ(systems.size(), table.size());
+    for (std::size_t i = 0; i < table.size(); ++i)
+        EXPECT_EQ(configCanonical(systems[i]),
+                  configCanonical(table[i]))
+            << i;
+
+    // Without factors, O3EVE keeps the default one; order is kept.
+    ASSERT_TRUE(namedSystems({"O3EVE", "IO"}, {}, systems, unknown));
+    ASSERT_EQ(systems.size(), 2u);
+    EXPECT_EQ(systems[0].kind, SystemKind::O3EVE);
+    EXPECT_EQ(systems[0].eve_pf, SystemConfig{}.eve_pf);
+    EXPECT_EQ(systems[1].kind, SystemKind::IO);
+
+    // An unknown kind is named and leaves the output untouched.
+    EXPECT_FALSE(namedSystems({"IO", "O3EV"}, {8}, systems, unknown));
+    EXPECT_EQ(unknown, "O3EV");
+    EXPECT_EQ(systems.size(), 2u);
 }
 
 TEST(Runner, ParallelMatchesSerialByteIdentical)
@@ -628,6 +658,71 @@ TEST(ResultCache, SaltBumpInvalidatesEverything)
     EXPECT_EQ(bumped.load(), 1u);
     JobResult restored;
     EXPECT_FALSE(bumped.lookup(jobs[0], restored));
+}
+
+TEST(ResultCache, ConcurrentSweepsSharingADirMatchSoloRuns)
+{
+    // Two sweeps over overlapping grids share one cache directory,
+    // each through its own ResultCache. flock locks belong to an
+    // open file description, so the two threads contend for the
+    // journal exactly as two processes would.
+    const std::string dir = freshDir("eve_cache_shared");
+    auto grid = [](std::vector<std::string> workloads) {
+        SweepSpec spec;
+        SystemConfig io;
+        io.kind = SystemKind::IO;
+        spec.system(io).workloads(workloads, /*small=*/true);
+        return spec.jobs();
+    };
+    const std::vector<std::vector<Job>> grids = {
+        grid({"vvadd", "fir"}), grid({"fir", "scan"})};
+
+    auto payloads = [](const std::vector<JobResult>& results) {
+        std::vector<std::string> out;
+        for (const auto& r : results)
+            out.push_back(resultToJson(r, /*include_host_time=*/false));
+        return out;
+    };
+    std::vector<std::vector<std::string>> solo;
+    for (const auto& jobs : grids) {
+        RunnerOptions opts;
+        opts.threads = 1;
+        const auto results = Runner(opts).run(jobs);
+        ASSERT_EQ(countStatus(results, JobStatus::Ok), jobs.size());
+        solo.push_back(payloads(results));
+    }
+
+    std::vector<std::vector<JobResult>> shared(grids.size());
+    std::vector<std::thread> sweeps;
+    for (std::size_t g = 0; g < grids.size(); ++g) {
+        sweeps.emplace_back([&, g] {
+            ResultCache cache(dir);
+            cache.load();
+            RunnerOptions opts;
+            opts.threads = 1;
+            opts.cache = &cache;
+            shared[g] = Runner(opts).run(grids[g]);
+        });
+    }
+    for (auto& t : sweeps)
+        t.join();
+    for (std::size_t g = 0; g < grids.size(); ++g)
+        EXPECT_EQ(payloads(shared[g]), solo[g]) << "grid " << g;
+
+    // The shared job may have run once per sweep, but the journal
+    // holds three keys, and a replay executes nothing.
+    ResultCache replay(dir);
+    EXPECT_EQ(replay.load(), 3u);
+    for (std::size_t g = 0; g < grids.size(); ++g) {
+        RunnerOptions opts;
+        opts.threads = 1;
+        opts.cache = &replay;
+        const auto results = Runner(opts).run(grids[g]);
+        EXPECT_EQ(countStatus(results, JobStatus::Cached),
+                  grids[g].size());
+        EXPECT_EQ(payloads(results), solo[g]) << "grid " << g;
+    }
+    EXPECT_EQ(replay.stores(), 0u);
 }
 
 TEST(ResultCache, TruncatedEntriesAreSkippedNotFatal)

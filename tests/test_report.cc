@@ -134,11 +134,11 @@ TEST(ReportFigures, Fig6SpeedupOverIo)
 
 TEST(ReportFigures, ExactRecordBeatsSampledOnSharedAxis)
 {
-    // A --pf sweep gives exact and sampled records the same pf axis;
-    // the sampled file sorts last but must not replace the exact
-    // cell.
+    // An ablation sweep (say --llc-mshrs) gives exact and sampled
+    // records the same axis; the sampled file sorts last but must
+    // not replace the exact cell.
     auto axed = [](exp::JobResult r, bool sampled) {
-        r.axes = {{"pf", "8"}};
+        r.axes = {{"llc_mshrs", "32"}};
         r.result.sampled = sampled;
         return r;
     };

@@ -40,14 +40,6 @@ TEST(PipelinedUnits, EarliestStartDoesNotReserve)
     EXPECT_EQ(unit.acquire(0, 1), Tick{50});
 }
 
-TEST(PipelinedUnits, ResetFrees)
-{
-    PipelinedUnits unit(1);
-    unit.acquire(0, 1000);
-    unit.reset();
-    EXPECT_EQ(unit.acquire(0, 1), Tick{0});
-}
-
 TEST(TokenPool, GrantsImmediatelyWhenFree)
 {
     TokenPool pool(2);
@@ -145,16 +137,6 @@ TEST(TokenPool, SingleTokenFullySerializes)
     EXPECT_EQ(g1, Tick{0});
     EXPECT_EQ(g2, Tick{7});
     EXPECT_EQ(g3, Tick{14});
-}
-
-TEST(TokenPool, ResetReleasesEverything)
-{
-    TokenPool pool(2);
-    pool.acquire(0, [](Tick t) { return t + 1000; });
-    pool.acquire(0, [](Tick t) { return t + 1000; });
-    pool.reset();
-    EXPECT_EQ(pool.inFlight(0), 0u);
-    EXPECT_EQ(pool.acquire(5, [](Tick t) { return t + 1; }), Tick{5});
 }
 
 TEST(TokenPool, QueueBuildsUnderOversubscription)

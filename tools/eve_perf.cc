@@ -10,7 +10,8 @@
  *
  * Flags:
  *   --systems A,B     system kinds (default: all Table III kinds)
- *   --pf N,M          EVE parallelization factors (default 1..32)
+ *   --pf N,M          EVE parallelization factors: O3EVE becomes one
+ *                     O3+EVE-N system per N (default 1..32)
  *   --workloads a,b   workload names (default: the paper's seven)
  *   --small           small smoke-test inputs
  *   --paper           paper-scale inputs (mmult 1024x1024x1024);
@@ -72,18 +73,6 @@ splitList(const std::string& arg)
     return out;
 }
 
-SystemKind
-parseKind(const std::string& name)
-{
-    if (name == "IO") return SystemKind::IO;
-    if (name == "O3") return SystemKind::O3;
-    if (name == "O3IV") return SystemKind::O3IV;
-    if (name == "O3DV") return SystemKind::O3DV;
-    if (name == "O3EVE") return SystemKind::O3EVE;
-    fatal("unknown system kind '%s' (want IO, O3, O3IV, O3DV, or "
-          "O3EVE)", name.c_str());
-}
-
 } // namespace
 
 int
@@ -91,7 +80,8 @@ main(int argc, char** argv)
 {
     setInformEnabled(false);
 
-    std::vector<std::string> system_kinds;
+    std::vector<std::string> system_kinds = {"IO", "O3", "O3IV", "O3DV",
+                                             "O3EVE"};
     std::vector<unsigned> pfs = {1, 2, 4, 8, 16, 32};
     std::vector<std::string> workloads = exp::paperWorkloads();
     bool small = false;
@@ -160,25 +150,10 @@ main(int argc, char** argv)
     }
 
     std::vector<SystemConfig> systems;
-    if (system_kinds.empty()) {
-        systems = exp::tableIIISystems();
-    } else {
-        for (const auto& name : system_kinds) {
-            const SystemKind kind = parseKind(name);
-            if (kind == SystemKind::O3EVE) {
-                for (unsigned pf : pfs) {
-                    SystemConfig cfg;
-                    cfg.kind = kind;
-                    cfg.eve_pf = pf;
-                    systems.push_back(cfg);
-                }
-            } else {
-                SystemConfig cfg;
-                cfg.kind = kind;
-                systems.push_back(cfg);
-            }
-        }
-    }
+    std::string unknown;
+    if (!exp::namedSystems(system_kinds, pfs, systems, unknown))
+        fatal("unknown system kind '%s' (want IO, O3, O3IV, O3DV, or "
+              "O3EVE)", unknown.c_str());
 
     if (small && paper)
         fatal("--small and --paper are mutually exclusive");

@@ -7,11 +7,10 @@
  *              [--max-regress PCT] [--quiet]
  *
  * SWEEP_DIR is any directory holding sweep JSONL artifacts (what
- * eve_sweep --json writes, what the benches drop via EVE_EXP_OUT_DIR,
- * or a daemon client's stream capture). The report groups the
- * records, prints fig6/fig7/fig8/Table III/Table IV equivalents, and
- * writes each as CSV + gnuplot script + SVG under --out (default
- * SWEEP_DIR/report).
+ * eve_sweep --json writes, or what the benches drop via
+ * EVE_EXP_OUT_DIR). The report groups the records, prints
+ * fig6/fig7/fig8/Table III/Table IV equivalents, and writes each as
+ * CSV + gnuplot script + SVG under --out (default SWEEP_DIR/report).
  *
  * With --baseline PRIOR_DIR the simulated metrics of every cell are
  * diffed against the prior run and the per-cell deltas printed;

@@ -17,7 +17,8 @@
  *
  * Flags:
  *   --systems   IO,O3,O3IV,O3DV,O3EVE   (default O3EVE)
- *   --pf        EVE parallelization factors     (axis)
+ *   --pf        EVE parallelization factors: O3EVE becomes one
+ *               O3+EVE-N system per N; other systems have no pf
  *   --llc-mshrs LLC MSHR counts                 (axis)
  *   --l2-mshrs  L2 MSHR counts                  (axis)
  *   --dtus      data-transfer-unit counts       (axis)
@@ -81,37 +82,15 @@
  *   --poll SEC          idle rescan period (default 0.25)
  *   --join-timeout SEC  worker wait for the manifest (default 600)
  *   --max-attempts N    claims per job before quarantine (default 3)
- *   --persistent        worker: serve a growing job pool; never exit
- *               because the directory looks momentarily complete
- *   --idle-exit SEC     worker: retire after SEC without a claim
  *
- * Service flags (sweep-as-a-service; see docs/OPERATIONS.md):
- *   --serve     run the persistent sweep daemon over --jobs-dir:
- *               listen on --socket, pool submissions from any number
- *               of clients (identical jobs across tenants execute
- *               once), stream results back, and run an elastic local
- *               worker fleet. SIGTERM/SIGINT drain gracefully.
- *   --submit    send this invocation's sweep to a daemon instead of
- *               executing locally; all output flags work unchanged
- *               and the merged results are byte-identical to a local
- *               batch run
- *   --watch     stream the daemon's status line until interrupted
- *   --shutdown  ask the daemon to drain and exit
- *   --hello     print the daemon's identity (version/salt) and exit
- *   --socket PATH       daemon socket (default $EVE_SVC_SOCKET, else
- *               <jobs-dir>/daemon.sock)
- *   --sweep-name NAME   submission name shown in daemon logs
- *   --min-workers N     long-lived worker floor (default 1)
- *   --max-workers N     fleet ceiling (default: hw concurrency)
- *   --idle-exit SEC     surge-worker retirement idle time (serve
- *               mode default 5)
+ * Several invocations may share one --cache-dir: appends are
+ * flock-serialized, so concurrent sweeps over overlapping grids each
+ * reuse what the others have already stored (docs/OPERATIONS.md §2).
  */
 
-#include <atomic>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <thread>
@@ -122,8 +101,6 @@
 #include "driver/table.hh"
 #include "exp/exp.hh"
 #include "exp/perf.hh"
-#include "svc/client.hh"
-#include "svc/service.hh"
 #include "workloads/workload.hh"
 
 using namespace eve;
@@ -178,18 +155,6 @@ parseSeconds(const std::string& flag, const std::string& arg)
     return v;
 }
 
-SystemKind
-parseKind(const std::string& name)
-{
-    if (name == "IO") return SystemKind::IO;
-    if (name == "O3") return SystemKind::O3;
-    if (name == "O3IV") return SystemKind::O3IV;
-    if (name == "O3DV") return SystemKind::O3DV;
-    if (name == "O3EVE") return SystemKind::O3EVE;
-    fatal("unknown system kind '%s' (want IO, O3, O3IV, O3DV, or "
-          "O3EVE)", name.c_str());
-}
-
 /**
  * Default workload axis: the paper's Table IV list. The RiVEC-style
  * extension kernels (axpy, blackscholes, streamcluster,
@@ -200,7 +165,7 @@ const std::vector<std::string> kAllWorkloads = {
     "vvadd", "mmult", "k-means", "pathfinder", "jacobi-2d",
     "backprop", "sw"};
 
-/** Signals received so far (worker and serve modes). */
+/** Signals received so far (worker mode). */
 volatile std::sig_atomic_t g_signals = 0;
 
 /**
@@ -216,20 +181,6 @@ workerSignalHandler(int)
     if (prior > 0)
         std::_Exit(130);
     exp::requestWorkerStop();
-}
-
-/** Serve: any SIGINT/SIGTERM starts a graceful drain (polled). */
-void
-serveSignalHandler(int)
-{
-    g_signals = g_signals + 1;
-}
-
-void
-installSignalHandlers(void (*handler)(int))
-{
-    std::signal(SIGINT, handler);
-    std::signal(SIGTERM, handler);
 }
 
 } // namespace
@@ -255,21 +206,9 @@ main(int argc, char** argv)
 
     exp::DistOptions dist;
     dist.jobs_dir = exp::envJobsDir();
-    enum class Mode
-    {
-        Sweep, Worker, Status, Stop,
-        Serve, Submit, Watch, Shutdown, Hello
-    };
+    enum class Mode { Sweep, Worker, Status, Stop };
     Mode mode = Mode::Sweep;
     bool orchestrate_only = false;
-
-    std::string socket_path;
-    if (const char* env = std::getenv("EVE_SVC_SOCKET"))
-        socket_path = env;
-    std::string sweep_name = "eve_sweep";
-    unsigned min_workers = 1;
-    unsigned max_workers = 0;
-    double idle_exit_s = -1; // <0 = per-mode default
 
     auto need = [&](int i) -> std::string {
         if (i + 1 >= argc)
@@ -344,28 +283,6 @@ main(int argc, char** argv)
         } else if (flag == "--max-attempts") {
             dist.max_attempts =
                 splitUnsigned(flag, need(i)).front(); ++i;
-        } else if (flag == "--persistent") {
-            dist.persistent = true;
-        } else if (flag == "--idle-exit") {
-            idle_exit_s = parseSeconds(flag, need(i)); ++i;
-        } else if (flag == "--serve") {
-            mode = Mode::Serve;
-        } else if (flag == "--submit") {
-            mode = Mode::Submit;
-        } else if (flag == "--watch") {
-            mode = Mode::Watch;
-        } else if (flag == "--shutdown") {
-            mode = Mode::Shutdown;
-        } else if (flag == "--hello") {
-            mode = Mode::Hello;
-        } else if (flag == "--socket") {
-            socket_path = need(i); ++i;
-        } else if (flag == "--sweep-name") {
-            sweep_name = need(i); ++i;
-        } else if (flag == "--min-workers") {
-            min_workers = splitUnsigned(flag, need(i)).front(); ++i;
-        } else if (flag == "--max-workers") {
-            max_workers = splitUnsigned(flag, need(i)).front(); ++i;
         } else if (flag == "--help" || flag == "-h") {
             std::printf(
                 "usage: eve_sweep [--systems LIST] [--pf LIST]\n"
@@ -381,9 +298,12 @@ main(int argc, char** argv)
                 "       eve_sweep --worker --jobs-dir DIR\n"
                 "  [--worker-id ID] [--lease-timeout SEC]\n"
                 "  [--heartbeat SEC] [--poll SEC] [--join-timeout SEC]\n"
-                "  [--max-attempts N] [--persistent] [--idle-exit SEC]\n"
-                "  [--checkpoint-dir PATH] [--quiet]\n"
+                "  [--max-attempts N] [--checkpoint-dir PATH] [--quiet]\n"
+                "       eve_sweep --status --jobs-dir DIR\n"
+                "       eve_sweep --stop --jobs-dir DIR\n"
                 "\n"
+                "--pf turns O3EVE into one O3+EVE-N system per\n"
+                "factor; the other systems have none.\n"
                 "--sample runs interval sampling (extrapolated\n"
                 "cycles, keyed separately from exact results);\n"
                 "--checkpoint-dir reuses functional fast-forward\n"
@@ -394,24 +314,13 @@ main(int argc, char** argv)
                 "extension kernels (axpy, blackscholes,\n"
                 "streamcluster, particlefilter, spmv, fir, scan) are\n"
                 "available by name — see docs/WORKLOADS.md.\n"
-                "       eve_sweep --status --jobs-dir DIR\n"
-                "       eve_sweep --stop --jobs-dir DIR\n"
-                "       eve_sweep --serve --jobs-dir DIR [--socket P]\n"
-                "  [--min-workers N] [--max-workers N]\n"
-                "  [--idle-exit SEC] [--quiet]\n"
-                "       eve_sweep --submit --socket P [sweep flags]\n"
-                "  [--sweep-name NAME]\n"
-                "       eve_sweep --watch --socket P\n"
-                "       eve_sweep --shutdown --socket P\n"
-                "       eve_sweep --hello --socket P\n");
+                "Concurrent sweeps may share one --cache-dir; see\n"
+                "docs/OPERATIONS.md.\n");
             return 0;
         } else {
             fatal("unknown flag '%s' (try --help)", flag.c_str());
         }
     }
-
-    if (socket_path.empty() && !dist.jobs_dir.empty())
-        socket_path = dist.jobs_dir + "/daemon.sock";
 
     if (small && paper)
         fatal("--small and --paper are mutually exclusive");
@@ -460,9 +369,8 @@ main(int argc, char** argv)
     if (mode == Mode::Worker) {
         if (dist.jobs_dir.empty())
             fatal("--worker needs --jobs-dir (or $EVE_EXP_JOBS_DIR)");
-        if (idle_exit_s > 0)
-            dist.idle_exit_s = idle_exit_s;
-        installSignalHandlers(workerSignalHandler);
+        std::signal(SIGINT, workerSignalHandler);
+        std::signal(SIGTERM, workerSignalHandler);
         if (!quiet) {
             dist.progress = [](const exp::JobResult& r,
                                std::size_t done, std::size_t) {
@@ -476,105 +384,22 @@ main(int argc, char** argv)
         if (!quiet)
             std::fprintf(stderr,
                          "worker: %zu executed, %zu reclaimed, %zu "
-                         "quarantined, %zu refused%s%s%s\n",
+                         "quarantined, %zu refused%s%s\n",
                          report.executed, report.reclaimed,
                          report.quarantined, report.unrebuildable,
                          report.stopped ? " (stopped)" : "",
-                         report.idled ? " (idle retirement)" : "",
                          report.joined ? "" : " (never joined)");
         return report.joined ? 0 : 1;
     }
 
-    // ---- service modes ----
-    if (mode == Mode::Serve) {
-        if (dist.jobs_dir.empty())
-            fatal("--serve needs --jobs-dir (or $EVE_EXP_JOBS_DIR)");
-        // A daemon's inform() lines are its operational log.
-        if (!quiet)
-            setInformEnabled(true);
-        svc::ServiceOptions so;
-        so.socket_path = socket_path;
-        so.dist = dist;
-        so.cache_dir = (!cache_dir.empty() && !no_cache)
-                           ? cache_dir
-                           : dist.jobs_dir + "/cache";
-        so.min_workers = min_workers;
-        so.max_workers = max_workers;
-        if (idle_exit_s > 0)
-            so.worker_idle_exit_s = idle_exit_s;
-        so.quiet = quiet;
-        svc::SweepService service(std::move(so));
-
-        installSignalHandlers(serveSignalHandler);
-        std::atomic<bool> watcher_done{false};
-        std::thread watcher([&] {
-            while (!watcher_done.load()) {
-                if (g_signals > 0) {
-                    service.requestShutdown();
-                    return;
-                }
-                std::this_thread::sleep_for(
-                    std::chrono::milliseconds(50));
-            }
-        });
-
-        std::string err;
-        const bool ok = service.run(&err);
-        watcher_done.store(true);
-        watcher.join();
-        if (!ok)
-            fatal("--serve: %s", err.c_str());
-        return 0;
-    }
-    if (mode == Mode::Hello) {
-        if (socket_path.empty())
-            fatal("--hello needs --socket (or $EVE_SVC_SOCKET)");
-        const svc::ServerHello hello = svc::helloServer(socket_path);
-        if (!hello.ok)
-            fatal("--hello: %s", hello.error.c_str());
-        std::printf("%s %s (protocol %s, simulator salt %s) at %s\n",
-                    hello.service.c_str(), hello.version.c_str(),
-                    hello.protocol.c_str(), hello.salt.c_str(),
-                    socket_path.c_str());
-        return 0;
-    }
-    if (mode == Mode::Watch) {
-        if (socket_path.empty())
-            fatal("--watch needs --socket (or $EVE_SVC_SOCKET)");
-        installSignalHandlers(serveSignalHandler);
-        const bool connected = svc::watchServer(
-            socket_path, 1.0, [](const std::string& line) {
-                if (!line.empty())
-                    std::printf("%s\n", line.c_str());
-                std::fflush(stdout);
-                return g_signals == 0;
-            });
-        if (!connected)
-            fatal("--watch: cannot connect to %s",
-                  socket_path.c_str());
-        return 0;
-    }
-    if (mode == Mode::Shutdown) {
-        if (socket_path.empty())
-            fatal("--shutdown needs --socket (or $EVE_SVC_SOCKET)");
-        if (!svc::shutdownServer(socket_path))
-            fatal("--shutdown: no acknowledgement from %s",
-                  socket_path.c_str());
-        std::printf("drain requested at %s\n", socket_path.c_str());
-        return 0;
-    }
-
     // ---- sweep construction (in-process or orchestrated) ----
     exp::SweepSpec spec;
-    for (const auto& name : systems) {
-        SystemConfig cfg;
-        cfg.kind = parseKind(name);
-        spec.system(cfg);
-    }
-    if (!pfs.empty())
-        spec.axis<unsigned>("pf", pfs, [](SystemConfig& c, unsigned v) {
-            c.eve_pf = v;
-        });
+    std::vector<SystemConfig> configs;
+    std::string unknown;
+    if (!exp::namedSystems(systems, pfs, configs, unknown))
+        fatal("unknown system kind '%s' (want IO, O3, O3IV, O3DV, or "
+              "O3EVE)", unknown.c_str());
+    spec.systems(configs);
     if (!llc_mshrs.empty())
         spec.axis<unsigned>("llc_mshrs", llc_mshrs,
                             [](SystemConfig& c, unsigned v) {
@@ -609,7 +434,7 @@ main(int argc, char** argv)
     }
 
     std::unique_ptr<exp::ResultCache> cache;
-    if (!cache_dir.empty() && !no_cache && mode != Mode::Submit) {
+    if (!cache_dir.empty() && !no_cache) {
         cache = std::make_unique<exp::ResultCache>(cache_dir);
         const std::size_t loaded = cache->load();
         if (!quiet)
@@ -620,27 +445,7 @@ main(int argc, char** argv)
 
     const auto jobs = spec.jobs();
     std::vector<exp::JobResult> results;
-    if (mode == Mode::Submit) {
-        if (socket_path.empty())
-            fatal("--submit needs --socket (or $EVE_SVC_SOCKET)");
-        svc::ClientOptions co;
-        co.socket_path = socket_path;
-        co.sweep = sweep_name;
-        co.progress = opts.progress;
-        if (!quiet)
-            std::fprintf(stderr, "%zu jobs via daemon at %s\n",
-                         jobs.size(), socket_path.c_str());
-        svc::SweepOutcome outcome = svc::submitSweep(jobs, co);
-        if (!outcome.ok)
-            fatal("--submit: %s", outcome.error.c_str());
-        if (!quiet)
-            std::fprintf(stderr,
-                         "daemon served %zu jobs (%zu cached, %zu "
-                         "shared, %zu fresh)\n",
-                         jobs.size(), outcome.cached, outcome.shared,
-                         outcome.fresh);
-        results = std::move(outcome.results);
-    } else if (!dist.jobs_dir.empty()) {
+    if (!dist.jobs_dir.empty()) {
         dist.lanes = orchestrate_only
                          ? 0
                          : (opts.threads
