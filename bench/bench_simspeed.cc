@@ -5,8 +5,10 @@
  * Executes the Table III sweep (every simulated system crossed with
  * the paper's workloads) serially, measuring host jobs/sec and
  * host-ns per simulated cycle, overall and per system. The numbers
- * land in BENCH_simspeed.json (EVE_EXP_OUT_DIR overrides the
- * directory) so perf regressions are diffable across commits.
+ * land in BENCH_simspeed.json, or BENCH_simspeed_smoke.json for a
+ * small-input run, so a smoke run never replaces a full-grid capture
+ * (EVE_EXP_OUT_DIR overrides the directory); perf regressions are
+ * then diffable across commits.
  *
  * The same pass can drive the timing-parity guard: --golden checks
  * the run's stat fingerprints against a checked-in golden file and
@@ -18,7 +20,8 @@
  *   --smoke               small inputs, one iteration (CI)
  *   --iters N             measurement iterations (default 1; 3 with
  *                         full inputs smooths host-timer noise)
- *   --json PATH           output path (default BENCH_simspeed.json)
+ *   --json PATH           output path (default BENCH_simspeed.json,
+ *                         BENCH_simspeed_smoke.json with small inputs)
  *   --golden PATH         run the timing-parity check against PATH
  *   --update-golden PATH  write fresh golden fingerprints to PATH
  *   --baseline-jps X      record speedup vs. a baseline jobs/sec
@@ -42,7 +45,7 @@ main(int argc, char** argv)
     setInformEnabled(false);
     bool small = bench::smallRuns();
     unsigned iters = 1;
-    std::string json_name = "BENCH_simspeed.json";
+    std::string json_name;
     std::string golden;
     std::string update_golden;
     double baseline_jps = 0;
@@ -70,6 +73,9 @@ main(int argc, char** argv)
             fatal("unknown flag '%s'", arg.c_str());
     }
 
+    if (json_name.empty())
+        json_name =
+            small ? "BENCH_simspeed_smoke.json" : "BENCH_simspeed.json";
     const std::string scale = small ? "small" : "full";
     const exp::SweepSpec spec = exp::tableIIISweep(small);
     const auto jobs = spec.jobs();

@@ -2,15 +2,15 @@
  * @file
  * A flat open-addressing Addr -> Tick table.
  *
- * Purpose-built for the cache's MSHR / in-flight-fill tracking: one
- * contiguous slot array, linear probing, backward-shift deletion (no
- * tombstones), multiplicative hashing. Compared to the
- * unordered_map it replaces there is no per-node allocation and no
- * pointer chasing on the per-access hot path; behaviourally it is
- * exactly a map, so simulated timing is unchanged.
+ * One contiguous slot array, linear probing, backward-shift deletion
+ * (no tombstones), multiplicative hashing: unlike an unordered_map,
+ * no per-node allocation and no pointer chasing per lookup, and
+ * behaviourally exactly a map. The sampling WarmupFilter uses it to
+ * find the page of its direct line index for a page number; the
+ * value is then a slot offset rather than a tick.
  *
- * The all-ones key is reserved as the empty-slot sentinel. Keys here
- * are cache *line* numbers (byte address / line size), so the
+ * The all-ones key is reserved as the empty-slot sentinel. Keys are
+ * line or page numbers (a byte address shifted right), so the
  * sentinel is unreachable for any realistic address-space size.
  */
 

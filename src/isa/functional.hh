@@ -62,6 +62,12 @@ struct VecMachineState
  * active iff bit 0 of v0[i] is set. Compares write 0/1 per element.
  * Reductions write their result into element 0 of the destination,
  * seeded with element 0 of src2.
+ *
+ * consume() decodes each instruction once and runs one loop per
+ * opcode over raw element arrays; unit-stride and strided accesses
+ * check their first and last element once instead of every element.
+ * Its semantics are pinned, instruction by instruction, to a
+ * per-element reference interpreter in the tests.
  */
 class VecMachine : public InstrSink
 {
@@ -98,13 +104,12 @@ class VecMachine : public InstrSink
     void restoreState(const VecMachineState& state);
 
   private:
-    bool active(const Instr& instr, std::uint32_t i) const;
-
     ByteMem& mem;
     std::uint32_t hwVl;
     std::uint32_t vl = 0;
     std::int32_t scalarResult = 0;
     std::vector<std::vector<std::int32_t>> vregs;
+    std::vector<std::int32_t> gathered; ///< vrgather's staging buffer
 };
 
 } // namespace eve

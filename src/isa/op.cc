@@ -5,127 +5,10 @@
 namespace eve
 {
 
-OpClass
-opClass(Op op)
+void
+detail::unknownOpcode(Op op)
 {
-    switch (op) {
-      case Op::SAlu:
-        return OpClass::ScalarAlu;
-      case Op::SMul:
-        return OpClass::ScalarMul;
-      case Op::SLoad:
-        return OpClass::ScalarLoad;
-      case Op::SStore:
-        return OpClass::ScalarStore;
-      case Op::SBranch:
-        return OpClass::ScalarBranch;
-      case Op::VSetVl:
-      case Op::VMfence:
-      case Op::VMvXS:
-        return OpClass::VecCtrl;
-      case Op::VAdd:
-      case Op::VSub:
-      case Op::VRsub:
-      case Op::VAnd:
-      case Op::VOr:
-      case Op::VXor:
-      case Op::VSll:
-      case Op::VSrl:
-      case Op::VSra:
-      case Op::VMin:
-      case Op::VMax:
-      case Op::VMinu:
-      case Op::VMaxu:
-      case Op::VMseq:
-      case Op::VMsne:
-      case Op::VMslt:
-      case Op::VMsle:
-      case Op::VMsgt:
-      case Op::VMand:
-      case Op::VMor:
-      case Op::VMxor:
-      case Op::VMandn:
-      case Op::VMerge:
-        return OpClass::VecAlu;
-      case Op::VMul:
-      case Op::VMulh:
-      case Op::VMacc:
-      case Op::VDiv:
-      case Op::VDivu:
-      case Op::VRem:
-      case Op::VRemu:
-        return OpClass::VecMul;
-      case Op::VMvVX:
-      case Op::VId:
-      case Op::VIota:
-      case Op::VSlide1Up:
-      case Op::VSlide1Down:
-      case Op::VSlideUp:
-      case Op::VSlideDown:
-      case Op::VRgather:
-        return OpClass::VecXe;
-      case Op::VRedSum:
-      case Op::VRedMin:
-      case Op::VRedMax:
-      case Op::VPopc:
-      case Op::VFirst:
-        return OpClass::VecRed;
-      case Op::VLoad:
-      case Op::VStore:
-        return OpClass::VecMemUnit;
-      case Op::VLoadStrided:
-      case Op::VStoreStrided:
-        return OpClass::VecMemStride;
-      case Op::VLoadIndexed:
-      case Op::VStoreIndexed:
-        return OpClass::VecMemIndex;
-      default:
-        panic("opClass: unknown opcode %d", int(op));
-    }
-}
-
-bool
-isVectorOp(Op op)
-{
-    switch (opClass(op)) {
-      case OpClass::ScalarAlu:
-      case OpClass::ScalarMul:
-      case OpClass::ScalarLoad:
-      case OpClass::ScalarStore:
-      case OpClass::ScalarBranch:
-        return false;
-      default:
-        return true;
-    }
-}
-
-bool
-isMemOp(Op op)
-{
-    switch (opClass(op)) {
-      case OpClass::ScalarLoad:
-      case OpClass::ScalarStore:
-      case OpClass::VecMemUnit:
-      case OpClass::VecMemStride:
-      case OpClass::VecMemIndex:
-        return true;
-      default:
-        return false;
-    }
-}
-
-bool
-isVecLoad(Op op)
-{
-    return op == Op::VLoad || op == Op::VLoadStrided ||
-           op == Op::VLoadIndexed;
-}
-
-bool
-isVecStore(Op op)
-{
-    return op == Op::VStore || op == Op::VStoreStrided ||
-           op == Op::VStoreIndexed;
+    panic("opClass: unknown opcode %d", int(op));
 }
 
 std::string_view

@@ -12,7 +12,9 @@
 #ifndef EVE_ISA_OP_HH
 #define EVE_ISA_OP_HH
 
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <string_view>
 
 namespace eve
@@ -94,20 +96,106 @@ enum class OpClass : std::uint8_t
     VecMemIndex,    ///< indexed loads/stores
 };
 
-/** Classify an opcode. */
-OpClass opClass(Op op);
+namespace detail
+{
+
+/** Each opcode's class, indexed by Op. */
+inline constexpr OpClass kOpClass[] = {
+    // SAlu, SMul, SLoad, SStore, SBranch
+    OpClass::ScalarAlu, OpClass::ScalarMul, OpClass::ScalarLoad,
+    OpClass::ScalarStore, OpClass::ScalarBranch,
+    // VSetVl, VMfence, VMvXS
+    OpClass::VecCtrl, OpClass::VecCtrl, OpClass::VecCtrl,
+    // VAdd .. VMaxu
+    OpClass::VecAlu, OpClass::VecAlu, OpClass::VecAlu,
+    OpClass::VecAlu, OpClass::VecAlu, OpClass::VecAlu,
+    OpClass::VecAlu, OpClass::VecAlu, OpClass::VecAlu,
+    OpClass::VecAlu, OpClass::VecAlu, OpClass::VecAlu, OpClass::VecAlu,
+    // VMul .. VRemu
+    OpClass::VecMul, OpClass::VecMul, OpClass::VecMul,
+    OpClass::VecMul, OpClass::VecMul, OpClass::VecMul, OpClass::VecMul,
+    // VMseq .. VMsgt, VMand .. VMandn, VMerge
+    OpClass::VecAlu, OpClass::VecAlu, OpClass::VecAlu, OpClass::VecAlu,
+    OpClass::VecAlu,
+    OpClass::VecAlu, OpClass::VecAlu, OpClass::VecAlu, OpClass::VecAlu,
+    OpClass::VecAlu,
+    // VMvVX, VId, VIota, VSlide1Up, VSlide1Down, VSlideUp, VSlideDown,
+    // VRgather
+    OpClass::VecXe, OpClass::VecXe, OpClass::VecXe, OpClass::VecXe,
+    OpClass::VecXe, OpClass::VecXe, OpClass::VecXe, OpClass::VecXe,
+    // VRedSum, VRedMin, VRedMax, VPopc, VFirst
+    OpClass::VecRed, OpClass::VecRed, OpClass::VecRed, OpClass::VecRed,
+    OpClass::VecRed,
+    // VLoad, VLoadStrided, VLoadIndexed, VStore, VStoreStrided,
+    // VStoreIndexed
+    OpClass::VecMemUnit, OpClass::VecMemStride, OpClass::VecMemIndex,
+    OpClass::VecMemUnit, OpClass::VecMemStride, OpClass::VecMemIndex,
+};
+static_assert(std::size(kOpClass) == std::size_t(Op::NumOps),
+              "kOpClass needs exactly one entry per opcode");
+
+constexpr std::uint32_t
+classBit(OpClass c)
+{
+    return std::uint32_t{1} << unsigned(c);
+}
+
+/** The classes of vector instructions. */
+inline constexpr std::uint32_t kVectorClasses =
+    classBit(OpClass::VecCtrl) | classBit(OpClass::VecAlu) |
+    classBit(OpClass::VecMul) | classBit(OpClass::VecXe) |
+    classBit(OpClass::VecRed) | classBit(OpClass::VecMemUnit) |
+    classBit(OpClass::VecMemStride) | classBit(OpClass::VecMemIndex);
+
+/** The classes that read or write memory. */
+inline constexpr std::uint32_t kMemClasses =
+    classBit(OpClass::ScalarLoad) | classBit(OpClass::ScalarStore) |
+    classBit(OpClass::VecMemUnit) | classBit(OpClass::VecMemStride) |
+    classBit(OpClass::VecMemIndex);
+
+/** Panics: @p op is not a valid opcode. */
+[[noreturn]] void unknownOpcode(Op op);
+
+} // namespace detail
+
+/** Classify an opcode; panics on a value outside Op. */
+inline OpClass
+opClass(Op op)
+{
+    if (std::size_t(op) >= std::size(detail::kOpClass)) [[unlikely]]
+        detail::unknownOpcode(op);
+    return detail::kOpClass[std::size_t(op)];
+}
 
 /** True iff the opcode is a vector instruction. */
-bool isVectorOp(Op op);
+inline bool
+isVectorOp(Op op)
+{
+    return (detail::kVectorClasses & detail::classBit(opClass(op))) != 0;
+}
 
 /** True iff the opcode reads or writes memory. */
-bool isMemOp(Op op);
+inline bool
+isMemOp(Op op)
+{
+    return (detail::kMemClasses & detail::classBit(opClass(op))) != 0;
+}
 
 /** True iff the opcode is a vector load (any addressing mode). */
-bool isVecLoad(Op op);
+inline bool
+isVecLoad(Op op)
+{
+    return op == Op::VLoad || op == Op::VLoadStrided ||
+           op == Op::VLoadIndexed;
+}
 
 /** True iff the opcode is a vector store (any addressing mode). */
-bool isVecStore(Op op);
+inline bool
+isVecStore(Op op)
+{
+    return op == Op::VStore || op == Op::VStoreStrided ||
+           op == Op::VStoreIndexed;
+}
 
 /** Human-readable mnemonic. */
 std::string_view opName(Op op);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdlib>
 
+#include "common/bits.hh"
 #include "cpu/timing_model.hh"
 #include "mem/cache.hh"
 
@@ -148,66 +149,116 @@ parseSamplingFlag(const std::string& text, SamplingConfig& out)
 }
 
 WarmupFilter::WarmupFilter(unsigned line_bytes, std::size_t max_lines)
-    : lineBytes(line_bytes ? line_bytes : 64), maxLines(max_lines)
+    : lineBytes(line_bytes ? line_bytes : 64),
+      lineShift(isPow2(lineBytes) ? int(log2i(lineBytes)) : -1),
+      // Node indices are 32-bit with kNone reserved.
+      maxLines(std::min<std::size_t>(max_lines, kNone))
 {
+}
+
+std::uint32_t&
+WarmupFilter::slotFor(Addr line)
+{
+    const Addr key = line >> kPageShift;
+    if (key != memoKey) {
+        if (const Tick* found = pageIndex.find(key)) {
+            memoBase = std::size_t(*found);
+        } else {
+            memoBase = slots.size();
+            slots.resize(slots.size() + kPageLines, kNone);
+            pageIndex.insertOrAssign(key, memoBase);
+        }
+        memoKey = key;
+    }
+    return slots[memoBase + (line & (kPageLines - 1))];
+}
+
+void
+WarmupFilter::linkAtHead(std::uint32_t idx)
+{
+    Node& node = nodes[idx];
+    node.prev = kNone;
+    node.next = head;
+    if (head != kNone)
+        nodes[head].prev = idx;
+    else
+        tail = idx;
+    head = idx;
 }
 
 void
 WarmupFilter::touchLine(Addr line, bool dirty)
 {
-    auto it = map.find(line);
-    if (it != map.end()) {
-        it->second->dirty |= dirty;
-        lru.splice(lru.begin(), lru, it->second);
+    if (maxLines == 0)
+        return;
+    std::uint32_t& slot = slotFor(line);
+    std::uint32_t idx = slot;
+    if (idx != kNone && nodes[idx].line == line) {
+        Node& node = nodes[idx];
+        node.dirty |= dirty;
+        if (idx == head)
+            return;
+        nodes[node.prev].next = node.next;
+        if (node.next != kNone)
+            nodes[node.next].prev = node.prev;
+        else
+            tail = node.prev;
+        linkAtHead(idx);
         return;
     }
-    lru.push_front({line, dirty});
-    map[line] = lru.begin();
-    if (map.size() > maxLines) {
-        map.erase(lru.back().line);
-        lru.pop_back();
+    if (nodes.size() == maxLines) {
+        // Evict the coldest line by handing its node to this one.
+        idx = tail;
+        tail = nodes[idx].prev;
+        if (tail != kNone)
+            nodes[tail].next = kNone;
+        else
+            head = kNone;
+        nodes[idx] = Node{line, kNone, kNone, dirty};
+    } else {
+        idx = std::uint32_t(nodes.size());
+        nodes.push_back(Node{line, kNone, kNone, dirty});
     }
+    slot = idx;
+    linkAtHead(idx);
 }
 
 void
 WarmupFilter::observe(const Instr& instr)
 {
-    if (!isMemOp(instr.op))
-        return;
     const bool store =
         instr.op == Op::SStore || isVecStore(instr.op);
     switch (instr.op) {
       case Op::SLoad:
       case Op::SStore:
-        touchLine(instr.addr / lineBytes, store);
+        touchLine(lineOf(instr.addr), store);
         return;
       case Op::VLoad:
       case Op::VStore: {
         // Contiguous: walk lines, not elements.
-        const Addr first = instr.addr / lineBytes;
-        const Addr last = instr.vl
-                              ? (instr.addr + Addr(instr.vl) * 4 - 1) /
-                                    lineBytes
-                              : first;
+        const Addr first = lineOf(instr.addr);
+        const Addr last =
+            instr.vl ? lineOf(instr.addr + Addr(instr.vl) * 4 - 1)
+                     : first;
         for (Addr line = first; line <= last; ++line)
             touchLine(line, store);
         return;
       }
       case Op::VLoadStrided:
-      case Op::VStoreStrided:
-        for (std::uint32_t i = 0; i < instr.vl; ++i)
-            touchLine((instr.addr +
-                       Addr(std::int64_t(i) * instr.stride)) /
-                          lineBytes,
-                      store);
+      case Op::VStoreStrided: {
+        Addr addr = instr.addr;
+        for (std::uint32_t i = 0; i < instr.vl; ++i) {
+            touchLine(lineOf(addr), store);
+            addr += Addr(instr.stride);
+        }
         return;
+      }
       case Op::VLoadIndexed:
       case Op::VStoreIndexed:
         if (!instr.indices)
             return;
         for (std::uint32_t i = 0; i < instr.vl; ++i)
-            touchLine((instr.addr + instr.indices[i]) / lineBytes,
-                      store);
+            touchLine(lineOf(instr.addr + instr.indices[i]), store);
         return;
       default:
         return;
@@ -219,27 +270,11 @@ WarmupFilter::applyTo(Cache& cache) const
 {
     const std::size_t capacity =
         std::size_t(cache.numSets()) * cache.params().assoc;
-    const std::size_t n = std::min(capacity, lru.size());
-    if (n == 0)
-        return;
-    // The hottest n entries are the list's first n; install them
-    // coldest first so the cache's LRU order matches the filter's.
-    std::vector<const Entry*> hot;
-    hot.reserve(n);
-    std::size_t taken = 0;
-    for (const Entry& e : lru) {
-        if (taken++ == n)
-            break;
-        hot.push_back(&e);
-    }
-    const unsigned cache_line = cache.params().line_bytes;
-    for (auto it = hot.rbegin(); it != hot.rend(); ++it) {
-        const Addr byte_addr = (*it)->line * Addr(lineBytes);
-        // Re-line for the target level in case its line size differs
-        // from the filter's granule.
-        cache.touch((byte_addr / cache_line) * cache_line,
-                    (*it)->dirty);
-    }
+    // touch() maps the byte address onto the level's own line size,
+    // which may differ from the filter's granule.
+    forHottest(capacity, [&](Addr line, bool dirty) {
+        cache.touch(line * Addr(lineBytes), dirty);
+    });
 }
 
 double

@@ -41,11 +41,10 @@
 
 #include <cstdint>
 #include <functional>
-#include <list>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
+#include "common/flat_map.hh"
 #include "isa/instr.hh"
 
 namespace eve
@@ -105,10 +104,22 @@ bool parseSamplingFlag(const std::string& text, SamplingConfig& out);
  * caches instead of cold ones (the warmup fidelity lever the
  * sampling literature calls functional warming).
  *
- * A bounded LRU list of (line address, dirty) entries: observe()
+ * A bounded LRU list of (line number, dirty) entries: observe()
  * folds one record's memory footprint in, applyTo() installs the
  * image into a cache level via Cache::touch(), coldest line first so
- * the cache's own recency order ends up matching the filter's.
+ * the cache's own recency order ends up matching the filter's. A
+ * line's dirty bit is the OR of every store to it since it entered
+ * the filter; at the bound the coldest line is evicted.
+ *
+ * Every strided or indexed element touches the filter, so the
+ * per-touch path avoids hashing: the list's nodes live in one
+ * vector linked by 32-bit indices, and a paged direct index maps a
+ * line number to its node. Pages of kPageLines slots are found
+ * through a FlatAddrMap with a last-page memo. An eviction hands the
+ * coldest node to the new line without clearing the old line's
+ * slot; a lookup instead checks that the node its slot names still
+ * holds that line. Pages stay once made: 16 KiB of index per 256 KiB
+ * of address space touched.
  */
 class WarmupFilter
 {
@@ -126,21 +137,64 @@ class WarmupFilter
      */
     void applyTo(Cache& cache) const;
 
-    std::size_t lines() const { return map.size(); }
+    /**
+     * Visit the hottest min(@p n, lines()) entries coldest first, as
+     * visit(line number, dirty): the order applyTo() installs them.
+     */
+    template <typename Visit>
+    void
+    forHottest(std::size_t n, Visit&& visit) const
+    {
+        if (n == 0 || head == kNone)
+            return;
+        // Find the n-th hottest node, then walk back towards the head.
+        std::uint32_t at = tail;
+        if (n < nodes.size()) {
+            at = head;
+            for (std::size_t k = 1; k < n; ++k)
+                at = nodes[at].next;
+        }
+        for (; at != kNone; at = nodes[at].prev)
+            visit(nodes[at].line, nodes[at].dirty);
+    }
+
+    std::size_t lines() const { return nodes.size(); }
 
   private:
-    void touchLine(Addr line, bool dirty);
+    static constexpr std::uint32_t kNone = ~std::uint32_t{0};
+    static constexpr unsigned kPageShift = 12;
+    static constexpr std::uint32_t kPageLines = 1u << kPageShift;
 
-    struct Entry
+    struct Node
     {
         Addr line;
+        std::uint32_t prev; ///< hotter neighbour, kNone at the head
+        std::uint32_t next; ///< colder neighbour, kNone at the tail
         bool dirty;
     };
 
+    Addr lineOf(Addr addr) const
+    {
+        return lineShift >= 0 ? addr >> lineShift : addr / lineBytes;
+    }
+
+    std::uint32_t& slotFor(Addr line);
+    void touchLine(Addr line, bool dirty);
+    void linkAtHead(std::uint32_t idx);
+
     unsigned lineBytes;
+    int lineShift;          ///< log2(lineBytes), -1 if not a power of 2
     std::size_t maxLines;
-    std::list<Entry> lru; ///< front = hottest
-    std::unordered_map<Addr, std::list<Entry>::iterator> map;
+
+    std::vector<Node> nodes; ///< one per resident line
+    std::uint32_t head = kNone; ///< hottest
+    std::uint32_t tail = kNone; ///< coldest
+
+    /** Line -> node index, page by page; may name a reused node. */
+    std::vector<std::uint32_t> slots;
+    FlatAddrMap pageIndex;   ///< page number -> first slot
+    Addr memoKey = ~Addr{0}; ///< last page number looked up
+    std::size_t memoBase = 0;
 };
 
 /** What a sampled run measured; extrapolation inputs. */

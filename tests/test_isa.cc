@@ -28,15 +28,52 @@ TEST(OpClassify, EveryOpcodeHasAClass)
 
 TEST(OpClassify, VectorAndMemoryPredicates)
 {
-    EXPECT_FALSE(isVectorOp(Op::SAlu));
-    EXPECT_TRUE(isVectorOp(Op::VAdd));
-    EXPECT_TRUE(isVectorOp(Op::VSetVl));
-    EXPECT_TRUE(isMemOp(Op::SLoad));
-    EXPECT_TRUE(isMemOp(Op::VLoadIndexed));
-    EXPECT_FALSE(isMemOp(Op::VAdd));
-    EXPECT_TRUE(isVecLoad(Op::VLoadStrided));
-    EXPECT_FALSE(isVecLoad(Op::VStore));
-    EXPECT_TRUE(isVecStore(Op::VStoreIndexed));
+    // Every opcode, checked against the enum's declared groups: the
+    // scalar opcodes come first, the vector memory opcodes last.
+    struct Group
+    {
+        Op first, last;
+        OpClass cls;
+    };
+    const Group groups[] = {
+        {Op::SAlu, Op::SAlu, OpClass::ScalarAlu},
+        {Op::SMul, Op::SMul, OpClass::ScalarMul},
+        {Op::SLoad, Op::SLoad, OpClass::ScalarLoad},
+        {Op::SStore, Op::SStore, OpClass::ScalarStore},
+        {Op::SBranch, Op::SBranch, OpClass::ScalarBranch},
+        {Op::VSetVl, Op::VMvXS, OpClass::VecCtrl},
+        {Op::VAdd, Op::VMaxu, OpClass::VecAlu},
+        {Op::VMul, Op::VRemu, OpClass::VecMul},
+        {Op::VMseq, Op::VMerge, OpClass::VecAlu},
+        {Op::VMvVX, Op::VRgather, OpClass::VecXe},
+        {Op::VRedSum, Op::VFirst, OpClass::VecRed},
+        {Op::VLoad, Op::VLoad, OpClass::VecMemUnit},
+        {Op::VLoadStrided, Op::VLoadStrided, OpClass::VecMemStride},
+        {Op::VLoadIndexed, Op::VLoadIndexed, OpClass::VecMemIndex},
+        {Op::VStore, Op::VStore, OpClass::VecMemUnit},
+        {Op::VStoreStrided, Op::VStoreStrided, OpClass::VecMemStride},
+        {Op::VStoreIndexed, Op::VStoreIndexed, OpClass::VecMemIndex},
+    };
+    for (unsigned i = 0; i < unsigned(Op::NumOps); ++i) {
+        const Op op = Op(i);
+        SCOPED_TRACE(std::string(opName(op)));
+        unsigned matched = 0;
+        for (const Group& g : groups)
+            if (op >= g.first && op <= g.last) {
+                EXPECT_EQ(opClass(op), g.cls);
+                ++matched;
+            }
+        EXPECT_EQ(matched, 1u);
+
+        const bool load = op >= Op::VLoad && op <= Op::VLoadIndexed;
+        const bool store = op >= Op::VStore && op <= Op::VStoreIndexed;
+        EXPECT_EQ(isVectorOp(op), op >= Op::VSetVl);
+        EXPECT_EQ(isMemOp(op),
+                  op == Op::SLoad || op == Op::SStore || load || store);
+        EXPECT_EQ(isVecLoad(op), load);
+        EXPECT_EQ(isVecStore(op), store);
+    }
+    EXPECT_DEATH(opClass(Op::NumOps), "unknown opcode");
 }
 
 TEST(Program, BuilderOwnsIndexStorage)
@@ -333,6 +370,61 @@ TEST(ByteMemTest, RoundTripAndBounds)
     EXPECT_EQ(mem.load32(0), -123);
     EXPECT_EQ(mem.load32(60), 456);
     EXPECT_DEATH(mem.load32(61), "beyond");
+}
+
+TEST(ByteMemTest, UnitStrideAccessPanicsOnItsLastElement)
+{
+    // 52, 56, 60 fit a 64-byte memory; the last element, 64, does not.
+    ByteMem mem(64);
+    VecMachine machine(mem, 16);
+    Instr access;
+    access.op = Op::VLoad;
+    access.vl = 4;
+    access.addr = 52;
+    EXPECT_DEATH(machine.consume(access), "beyond");
+    access.op = Op::VStore;
+    EXPECT_DEATH(machine.consume(access), "beyond");
+}
+
+TEST(ByteMemTest, StridedAccessPanicsOnItsLastElement)
+{
+    ByteMem mem(64);
+    VecMachine machine(mem, 16);
+    Instr access;
+    access.op = Op::VLoadStrided;
+    access.vl = 4;
+    access.addr = 0;
+    access.stride = 21; // 0, 21, 42 fit; 63 runs past the end
+    EXPECT_DEATH(machine.consume(access), "beyond");
+    access.op = Op::VStoreStrided;
+    EXPECT_DEATH(machine.consume(access), "beyond");
+    // Downward: 40, 24, 8 fit; the last element lies below address 0,
+    // however much memory lies above.
+    ByteMem big(4096);
+    VecMachine wide(big, 16);
+    access.addr = 40;
+    access.stride = -16;
+    EXPECT_DEATH(wide.consume(access), "beyond");
+    access.op = Op::VLoadStrided;
+    EXPECT_DEATH(wide.consume(access), "beyond");
+}
+
+TEST(ByteMemTest, InactiveOutOfRangeElementDoesNotPanic)
+{
+    ByteMem mem(64);
+    VecMachine machine(mem, 16);
+    for (std::uint32_t i = 0; i < 4; ++i)
+        machine.setElem(0, i, i < 3);
+    mem.store32(42, 77);
+    Instr access;
+    access.op = Op::VLoadStrided;
+    access.masked = true;
+    access.dst = 1;
+    access.vl = 4;
+    access.addr = 0;
+    access.stride = 21; // element 3 (address 63) is masked off
+    machine.consume(access);
+    EXPECT_EQ(machine.elem(1, 2), 77);
 }
 
 } // namespace
