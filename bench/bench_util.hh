@@ -56,7 +56,7 @@ benchScale()
  * Honour EVE_BENCH_RIVEC=1: append the RiVEC-style extension
  * kernels (axpy, blackscholes, streamcluster, particlefilter) to
  * the Figure 6 / Table III workload axis. Off by default so the
- * BENCH_* speed and parity trajectories stay comparable across PRs.
+ * grid stays the paper's.
  */
 inline bool
 rivecRuns()
@@ -77,8 +77,9 @@ makeConfig(SystemKind kind, unsigned pf = 8)
 
 /**
  * The Figure 6 system list: scalar + vector baselines + EVE sweep.
- * One definition lives in exp::perf (the sim-speed benchmark runs
- * the identical grid); these are the bench-facing names.
+ * One definition lives in exp::perf (the timing-parity goldens and
+ * simbench cover the identical systems); these are the bench-facing
+ * names.
  */
 inline std::vector<SystemConfig>
 fig6Systems()
@@ -97,9 +98,8 @@ eveSystems()
  * The Figure 6 experiment grid as a sweep spec: every Table III
  * system crossed with the paper's workload list (plus the RiVEC
  * kernels under EVE_BENCH_RIVEC=1). Shared by the performance
- * figure (which runs it), Table III (which only enumerates
- * expandedSystems()), and the sim-speed benchmark (which pins the
- * paper list for trajectory comparability).
+ * figure (which runs it) and Table III (which only enumerates
+ * expandedSystems()).
  */
 inline exp::SweepSpec
 fig6Sweep(bool small)

@@ -105,6 +105,37 @@ lineValue(const std::string& line, const char* key, std::string& out)
     return true;
 }
 
+/** The manifest's identification fields. */
+struct ManifestInfo
+{
+    std::string version; ///< protocol version the dir was built under
+    std::string salt;    ///< simulator salt the dir was built under
+    std::string grid;    ///< grid fingerprint
+    std::size_t total = 0;
+};
+
+/** Parse the manifest at @p path; false when absent/unreadable. */
+bool
+readManifest(const std::string& path, ManifestInfo& out)
+{
+    std::string text;
+    if (!readFile(path, text))
+        return false;
+    ManifestInfo info;
+    std::istringstream is(text);
+    std::string line;
+    while (std::getline(is, line)) {
+        std::string v;
+        if (lineValue(line, "version", v)) info.version = v;
+        else if (lineValue(line, "salt", v)) info.salt = v;
+        else if (lineValue(line, "total", v))
+            info.total = std::strtoull(v.c_str(), nullptr, 10);
+        else if (lineValue(line, "grid", v)) info.grid = v;
+    }
+    out = std::move(info);
+    return true;
+}
+
 /** Process-wide cooperative stop flag (set from signal handlers). */
 std::atomic<bool> worker_stop{false};
 
@@ -269,15 +300,21 @@ JobsDir::materialize(const std::vector<Job>& jobs)
     makeDirs(failedDir());
     makeDirs(quarantineDir());
 
+    // A manifest from another protocol version or simulator salt is
+    // refused like a foreign grid: its done/ records would otherwise
+    // be merged, and cached, as this binary's results.
     const std::string grid = gridFingerprint(jobs);
-    const DistStatus existing = manifest();
-    if (existing.total > 0) {
-        std::string text;
-        readFile(manifestPath(), text);
-        if (text.find("grid=" + grid + "\n") == std::string::npos)
+    ManifestInfo existing;
+    if (readManifest(manifestPath(), existing)) {
+        const char* skew =
+            existing.version != kDistProtocolVersion ? "version"
+            : existing.salt != kSimulatorSalt        ? "salt"
+            : existing.grid != grid                  ? "grid"
+                                                     : nullptr;
+        if (skew)
             fatal("jobs dir '%s' holds a different sweep (manifest "
-                  "grid mismatch); use a fresh directory per grid",
-                  opts.jobs_dir.c_str());
+                  "%s mismatch); use a fresh directory per grid",
+                  opts.jobs_dir.c_str(), skew);
     }
 
     std::size_t created = 0;
@@ -325,33 +362,12 @@ JobsDir::materialize(const std::vector<Job>& jobs)
                opts.jobs_dir.c_str(), created, jobs.size());
 }
 
-bool
-JobsDir::readManifestInfo(ManifestInfo& out) const
-{
-    std::string text;
-    if (!readFile(manifestPath(), text))
-        return false;
-    ManifestInfo info;
-    std::istringstream is(text);
-    std::string line;
-    while (std::getline(is, line)) {
-        std::string v;
-        if (lineValue(line, "version", v)) info.version = v;
-        else if (lineValue(line, "salt", v)) info.salt = v;
-        else if (lineValue(line, "total", v))
-            info.total = std::strtoull(v.c_str(), nullptr, 10);
-        else if (lineValue(line, "grid", v)) info.grid = v;
-    }
-    out = std::move(info);
-    return true;
-}
-
 DistStatus
 JobsDir::manifest() const
 {
     DistStatus s;
     ManifestInfo info;
-    if (!readManifestInfo(info))
+    if (!readManifest(manifestPath(), info))
         return s;
     if (info.version != kDistProtocolVersion) {
         if (!info.version.empty())

@@ -186,15 +186,6 @@ struct DistStatus
 /** One-line human-readable rendering of @p s. */
 std::string formatDistStatus(const DistStatus& s);
 
-/** The manifest's raw identification fields, for skew diagnosis. */
-struct ManifestInfo
-{
-    std::string version; ///< protocol version the dir was built under
-    std::string salt;    ///< simulator salt the dir was built under
-    std::string grid;    ///< grid fingerprint
-    std::size_t total = 0;
-};
-
 /**
  * Cooperative process-wide stop for worker loops, settable from a
  * signal handler (a relaxed atomic store, async-signal-safe). A
@@ -228,15 +219,16 @@ class JobsDir
      * claim file per job not already present in any state (so a
      * re-run over a partially completed directory resumes instead of
      * duplicating), then write the manifest. Fatal if the directory
-     * holds a different grid (mismatched manifest).
+     * holds a different sweep: a manifest whose grid, protocol
+     * version or simulator salt differs.
      */
     void materialize(const std::vector<Job>& jobs);
 
-    /** The manifest, parsed; total == 0 when absent/unreadable. */
+    /**
+     * The manifest, parsed; total == 0 when absent, unreadable, or
+     * written under another protocol version or simulator salt.
+     */
     DistStatus manifest() const;
-
-    /** Raw manifest fields; false when absent/unreadable. */
-    bool readManifestInfo(ManifestInfo& out) const;
 
     /** Scan every state directory and count. */
     DistStatus status() const;

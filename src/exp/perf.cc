@@ -1,14 +1,10 @@
 #include "exp/perf.hh"
 
-#include <chrono>
 #include <cstdio>
 #include <fstream>
-#include <sstream>
 
 #include "common/bits.hh"
 #include "common/log.hh"
-#include "common/stats.hh"
-#include "exp/cache.hh"
 #include "exp/sink.hh"
 
 namespace eve::exp
@@ -175,13 +171,14 @@ ParityFile::load(const std::string& path)
         ++lineno;
         if (line.empty() || line[0] == '#')
             continue;
-        const std::size_t space = line.find(' ');
-        if (space != 16 || line.size() < 18)
-            fatal("parity: %s:%zu: malformed line '%s'", path.c_str(),
-                  lineno, line.c_str());
-        const std::uint64_t fp =
+        if (line.size() < 18 ||
+            line.find_first_not_of("0123456789abcdefABCDEF") != 16 ||
+            line[16] != ' ')
+            fatal("parity: %s:%zu: malformed line '%s' (want 16 hex "
+                  "digits, a space, and a key)",
+                  path.c_str(), lineno, line.c_str());
+        file.entries[line.substr(17)] =
             std::stoull(line.substr(0, 16), nullptr, 16);
-        file.entries[line.substr(17)] = fp;
     }
     return file;
 }
@@ -224,113 +221,6 @@ ParityFile::check(const std::vector<JobResult>& results,
                             " != golden " + hex16(it->second));
     }
     return diffs;
-}
-
-SpeedReport
-measureSimSpeed(const std::vector<Job>& jobs, unsigned iters,
-                const std::string& checkpoint_dir)
-{
-    if (iters == 0)
-        iters = 1;
-    SpeedReport report;
-    std::map<std::string, SystemSpeed> per_system;
-
-    for (unsigned iter = 0; iter < iters; ++iter) {
-        for (const Job& job : jobs) {
-            JobResult r;
-            r.index = job.index;
-            r.label = job.label;
-            r.workload = job.workload;
-            r.config = job.config;
-            r.axes = job.axes;
-
-            std::unique_ptr<Workload> workload = job.make();
-            if (!workload)
-                fatal("simspeed: unknown workload '%s'",
-                      job.workload.c_str());
-            SimOptions sopts;
-            sopts.sampling = job.sampling;
-            sopts.checkpoint_dir = checkpoint_dir;
-            sopts.scale_tag = job.scale;
-            sopts.salt = kSimulatorSalt;
-            const auto start = std::chrono::steady_clock::now();
-            r.result = runWorkload(job.config, *workload, sopts);
-            const double wall =
-                std::chrono::duration<double>(
-                    std::chrono::steady_clock::now() - start)
-                    .count();
-            if (r.result.mismatches)
-                fatal("simspeed: job '%s' failed functionally",
-                      job.label.c_str());
-            r.status = JobStatus::Ok;
-            r.wall_seconds = wall;
-
-            const double cycles = r.result.cycles;
-            SystemSpeed& ss = per_system[r.result.system];
-            ss.system = r.result.system;
-            ss.jobs += 1;
-            ss.wall_seconds += wall;
-            ss.sim_cycles += cycles;
-            report.jobs += 1;
-            report.wall_seconds += wall;
-            report.sim_cycles += cycles;
-
-            if (iter == 0)
-                report.results.push_back(std::move(r));
-        }
-    }
-
-    auto finalize = [](double jobs, double wall, double cycles,
-                       double& jps, double& nspc) {
-        jps = wall > 0 ? jobs / wall : 0;
-        nspc = cycles > 0 ? wall * 1e9 / cycles : 0;
-    };
-    finalize(double(report.jobs), report.wall_seconds,
-             report.sim_cycles, report.jobs_per_sec,
-             report.ns_per_sim_cycle);
-    for (auto& [name, ss] : per_system) {
-        finalize(double(ss.jobs), ss.wall_seconds, ss.sim_cycles,
-                 ss.jobs_per_sec, ss.ns_per_sim_cycle);
-        report.per_system.push_back(ss);
-    }
-    return report;
-}
-
-std::string
-speedReportJson(const SpeedReport& report,
-                const std::string& grid_label,
-                double baseline_jobs_per_sec)
-{
-    std::ostringstream os;
-    os << "{\"grid\":\"" << jsonEscape(grid_label) << "\""
-       << ",\"jobs\":" << report.jobs
-       << ",\"wall_seconds\":" << jsonNumber(report.wall_seconds)
-       << ",\"jobs_per_sec\":" << jsonNumber(report.jobs_per_sec)
-       << ",\"sim_cycles\":" << jsonNumber(report.sim_cycles)
-       << ",\"ns_per_sim_cycle\":"
-       << jsonNumber(report.ns_per_sim_cycle);
-    if (baseline_jobs_per_sec > 0) {
-        os << ",\"baseline_jobs_per_sec\":"
-           << jsonNumber(baseline_jobs_per_sec)
-           << ",\"speedup_vs_baseline\":"
-           << jsonNumber(report.jobs_per_sec / baseline_jobs_per_sec);
-    }
-    os << ",\"per_system\":[";
-    bool first = true;
-    for (const auto& ss : report.per_system) {
-        if (!first)
-            os << ",";
-        first = false;
-        os << "{\"system\":\"" << jsonEscape(ss.system) << "\""
-           << ",\"jobs\":" << ss.jobs
-           << ",\"wall_seconds\":" << jsonNumber(ss.wall_seconds)
-           << ",\"jobs_per_sec\":" << jsonNumber(ss.jobs_per_sec)
-           << ",\"sim_cycles\":" << jsonNumber(ss.sim_cycles)
-           << ",\"ns_per_sim_cycle\":"
-           << jsonNumber(ss.ns_per_sim_cycle) << "}";
-    }
-    os << "]}";
-    return os.str();
 }
 
 } // namespace eve::exp

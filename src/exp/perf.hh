@@ -1,6 +1,7 @@
 /**
  * @file
- * Simulator-speed measurement and the timing-parity guard.
+ * The timing-parity guard, and the system and workload lists that the
+ * tools, the benches and simbench share.
  *
  * Hot-path work on the timing core is only admissible if it does not
  * change a single simulated cycle. The parity guard makes that
@@ -11,13 +12,8 @@
  * input scale. A ParityFile stores golden fingerprints; a check run
  * re-simulates the same grid and compares byte-for-byte. If the guard
  * passes, kSimulatorSalt does not need a bump and every cached sweep
- * result stays valid.
- *
- * The speed side answers "how fast is the simulator itself": serial
- * jobs/sec and host-ns per simulated cycle over a job list, overall
- * and per simulated system. Serial execution (not the Runner pool)
- * keeps the numbers comparable across hosts with different core
- * counts and keeps per-job attribution exact.
+ * result stays valid. `eve_sweep --parity` runs the check and
+ * `eve_sweep --update-parity` writes the goldens.
  */
 
 #ifndef EVE_EXP_PERF_HH
@@ -64,11 +60,10 @@ const std::vector<std::string>& rivecWorkloads();
 
 /**
  * The canonical Table III grid: every Table III system crossed with
- * the paper's workloads. This is the reference sweep for both the
- * performance figures and the simulator-speed benchmark.
- * @p include_rivec appends the RiVEC extension kernels to the
- * workload axis — off by default so BENCH_* trajectories (sim-speed,
- * parity goldens) stay comparable across PRs; the benches opt in via
+ * the paper's workloads, the reference sweep of the performance
+ * figures. @p include_rivec appends the RiVEC extension kernels to
+ * the workload axis — off by default so the grid stays the paper's
+ * (and the parity goldens' when @p small); the benches opt in via
  * EVE_BENCH_RIVEC=1.
  */
 SweepSpec tableIIISweep(bool small, bool include_rivec = false);
@@ -77,8 +72,8 @@ SweepSpec tableIIISweep(bool small, bool include_rivec = false);
  * Deterministic result payload the parity fingerprint hashes.
  * Sweep bookkeeping (index, label, axes) is normalized out so the
  * fingerprint of a grid point is identical whether it ran in the
- * full Table III grid, a sliced eve_perf run, or an eve_sweep
- * invocation covering the same point.
+ * full Table III grid, a slice of it, or any other sweep covering
+ * the same point.
  */
 std::string parityPayload(const JobResult& r);
 
@@ -130,51 +125,6 @@ class ParityFile
   private:
     std::map<std::string, std::uint64_t> entries;
 };
-
-/** Speed of one simulated system within a measurement pass. */
-struct SystemSpeed
-{
-    std::string system;
-    std::size_t jobs = 0;          ///< jobs measured (all iterations)
-    double wall_seconds = 0;       ///< host time spent simulating
-    double jobs_per_sec = 0;
-    double sim_cycles = 0;         ///< simulated core cycles (all iters)
-    double ns_per_sim_cycle = 0;   ///< host-ns per simulated cycle
-};
-
-/** Result of measureSimSpeed(). */
-struct SpeedReport
-{
-    std::size_t jobs = 0;          ///< job executions (all iterations)
-    double wall_seconds = 0;
-    double jobs_per_sec = 0;
-    double sim_cycles = 0;
-    double ns_per_sim_cycle = 0;
-    std::vector<SystemSpeed> per_system;
-
-    /** First-iteration results (for parity checks / artifacts). */
-    std::vector<JobResult> results;
-};
-
-/**
- * Run every job serially @p iters times, timing each execution.
- * Failures are fatal — a speed number over failed jobs is
- * meaningless. @p iters > 1 amortizes host timer noise.
- * Jobs with a sampling schedule run sampled (this is how the
- * sampling speedup itself is measured); @p checkpoint_dir, when
- * non-empty, lets those jobs save/restore functional checkpoints.
- */
-SpeedReport measureSimSpeed(const std::vector<Job>& jobs,
-                            unsigned iters = 1,
-                            const std::string& checkpoint_dir = "");
-
-/**
- * Render @p report as a JSON object. @p baseline_jobs_per_sec > 0
- * adds "baseline_jobs_per_sec" and "speedup_vs_baseline".
- */
-std::string speedReportJson(const SpeedReport& report,
-                            const std::string& grid_label,
-                            double baseline_jobs_per_sec = 0);
 
 } // namespace eve::exp
 

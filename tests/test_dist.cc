@@ -475,6 +475,32 @@ TEST(Dist, MaterializeRefusesForeignGrid)
                 ::testing::ExitedWithCode(1), "different sweep");
 }
 
+TEST(Dist, MaterializeRefusesSkewedManifest)
+{
+    // A directory built under another simulator salt or protocol
+    // version holds the same grid in name only: resuming it would
+    // merge its done/ records, and cache them, as this binary's.
+    const auto jobs = smallGrid().jobs();
+    for (const std::string field : {"salt", "version"}) {
+        SCOPED_TRACE(field);
+        const std::string dir = freshDir("eve_dist_skew_" + field);
+        JobsDir jd(fastOpts(dir));
+        jd.materialize(jobs);
+
+        std::string text;
+        ASSERT_TRUE(readFile(jd.manifestPath(), text));
+        const std::size_t at = text.find(field + "=");
+        ASSERT_NE(at, std::string::npos);
+        text.insert(at + field.size() + 1, "old-");
+        atomicWriteFile(jd.manifestPath(), text);
+
+        JobsDir jd2(fastOpts(dir));
+        EXPECT_EXIT(jd2.materialize(jobs),
+                    ::testing::ExitedWithCode(1),
+                    "different sweep \\(manifest " + field);
+    }
+}
+
 TEST(Dist, VariantGivesCustomExecutorJobsDistinctKeys)
 {
     const auto jobs = smallGrid().jobs();

@@ -1,8 +1,8 @@
 /**
  * @file
  * Experiment-runner subsystem tests: sweep expansion, thread-pool
- * determinism, failure policies, progress reporting, and the
- * JSONL/CSV result sinks.
+ * determinism, failure policies, progress reporting, the JSONL/CSV
+ * result sinks, and the timing-parity golden file.
  */
 
 #include <gtest/gtest.h>
@@ -14,6 +14,7 @@
 #include <stdexcept>
 #include <thread>
 
+#include "common/fs.hh"
 #include "exp/exp.hh"
 #include "exp/perf.hh"
 #include "workloads/workload.hh"
@@ -159,6 +160,69 @@ TEST(NamedSystems, PfMultipliesOnlyEve)
     EXPECT_FALSE(namedSystems({"IO", "O3EV"}, {8}, systems, unknown));
     EXPECT_EQ(unknown, "O3EV");
     EXPECT_EQ(systems.size(), 2u);
+}
+
+namespace
+{
+
+/** A hand-built Ok result: parity hashes its payload, not a run. */
+JobResult
+parityResult(SystemKind kind, const std::string& workload, double cycles)
+{
+    JobResult r;
+    r.config.kind = kind;
+    r.workload = workload;
+    r.status = JobStatus::Ok;
+    r.result.cycles = cycles;
+    return r;
+}
+
+} // namespace
+
+TEST(ParityFile, SaveLoadCheckRoundTrip)
+{
+    const std::vector<JobResult> results = {
+        parityResult(SystemKind::IO, "vvadd", 100),
+        parityResult(SystemKind::O3, "mmult", 200)};
+    const std::string dir = freshDir("eve_parity");
+    ParityFile::fromResults(results, "small").save(dir + "/a.txt");
+    const ParityFile golden = ParityFile::load(dir + "/a.txt");
+    EXPECT_EQ(golden.size(), 2u);
+    EXPECT_TRUE(golden.check(results, "small").empty());
+
+    // Saving what was loaded reproduces the file byte for byte.
+    golden.save(dir + "/b.txt");
+    std::string a, b;
+    ASSERT_TRUE(readFile(dir + "/a.txt", a));
+    ASSERT_TRUE(readFile(dir + "/b.txt", b));
+    EXPECT_EQ(a, b);
+
+    // A changed fingerprint, a job that did not run Ok, and a grid
+    // point the goldens lack each diverge, in result order.
+    std::vector<JobResult> drift = results;
+    drift[0].result.cycles = 101;
+    drift[1].status = JobStatus::Cached;
+    drift.push_back(parityResult(SystemKind::O3DV, "vvadd", 300));
+    const auto diffs = golden.check(drift, "small");
+    ASSERT_EQ(diffs.size(), 3u);
+    EXPECT_NE(diffs[0].find("!= golden"), std::string::npos);
+    EXPECT_NE(diffs[1].find("job status 'cached'"), std::string::npos);
+    EXPECT_NE(diffs[2].find("no golden fingerprint"), std::string::npos);
+
+    // The input scale is part of every key.
+    EXPECT_EQ(golden.check(results, "full").size(), 2u);
+}
+
+TEST(ParityFile, MalformedFingerprintIsAnErrorNamingTheLine)
+{
+    const std::string path = freshDir("eve_parity_bad") + "/golden.txt";
+    for (const char* fp : {"not-hex-at-all!!", "12345678zzzzzzzz"}) {
+        SCOPED_TRACE(fp);
+        std::ofstream(path) << "# comment\n"
+                            << fp << " IO|vvadd|small|cfg=0\n";
+        EXPECT_EXIT(ParityFile::load(path), ::testing::ExitedWithCode(1),
+                    "golden.txt:2: malformed line");
+    }
 }
 
 TEST(Runner, ParallelMatchesSerialByteIdentical)

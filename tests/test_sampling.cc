@@ -183,7 +183,12 @@ TEST(Sampling, SampledRunIsDeterministic)
 
 TEST(Sampling, ExtrapolatedCyclesWithinErrorBound)
 {
-    for (const char* name : {"mmult", "k-means"}) {
+    // The 3% bound over every paper kernel whose small stream spans
+    // more than one 400-record period. vvadd (40 records) and
+    // pathfinder (150) are shorter: their cycles come from one
+    // window, not from sampling.
+    for (const char* name :
+         {"mmult", "k-means", "jacobi-2d", "backprop", "sw"}) {
         Job exact_job = smallJob(name, SamplingConfig{});
         JobResult exact;
         runJob(exact_job, exact);

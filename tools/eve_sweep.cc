@@ -25,11 +25,18 @@
  *   --prefetch  LLC prefetch line depths        (axis)
  *   --workloads workload names (default: all paper workloads)
  *   --threads   worker threads (default: hardware concurrency)
- *   --parity GOLDEN  after the sweep, check every result's timing
- *               fingerprint against the golden file (same format and
- *               semantics as `eve_perf --parity`); exit 1 and list
- *               divergences on failure. Parity needs fresh Ok runs,
- *               so combine with --no-cache.
+ *   --parity GOLDEN  check every result's timing fingerprint
+ *               against the golden file (exp/perf.hh); exit 1 and list
+ *               divergences on failure. The file is read before any
+ *               job runs, so a missing or malformed golden costs no
+ *               sweep.
+ *   --update-parity GOLDEN  write the sweep's timing fingerprints to
+ *               GOLDEN; nothing is written unless every job ran Ok.
+ *               Under --parity and --update-parity every job is
+ *               simulated fresh: the result cache and the jobs
+ *               directory are ignored, because their records may come
+ *               from an older binary under the same salt — exactly
+ *               what the goldens exist to catch.
  *   --small     use small smoke-test inputs
  *   --paper     use paper-scale inputs (mmult 1024x1024x1024); meant
  *               to be combined with --sample
@@ -39,7 +46,8 @@
  *               extrapolated from the measured windows, results are
  *               tagged sampled, and cache/job keys include the
  *               schedule so sampled and exact records never mix.
- *               Incompatible with --parity (goldens are exact).
+ *               Incompatible with --parity and --update-parity
+ *               (goldens are exact).
  *               Defaults to $EVE_EXP_SAMPLE when set.
  *   --checkpoint-dir PATH  save/restore functional fast-forward
  *               checkpoints for sampled jobs under PATH; jobs that
@@ -194,6 +202,7 @@ main(int argc, char** argv)
     std::vector<std::string> workloads = kAllWorkloads;
     std::vector<unsigned> pfs, llc_mshrs, l2_mshrs, dtus, prefetch;
     std::string json_path, csv_path, payload_path, parity_path;
+    std::string update_parity_path;
     std::string cache_dir = exp::envCacheDir();
     bool no_cache = false;
     exp::RunnerOptions opts;
@@ -236,6 +245,8 @@ main(int argc, char** argv)
             opts.threads = splitUnsigned(flag, need(i)).front(); ++i;
         } else if (flag == "--parity") {
             parity_path = need(i); ++i;
+        } else if (flag == "--update-parity") {
+            update_parity_path = need(i); ++i;
         } else if (flag == "--json") {
             json_path = need(i); ++i;
         } else if (flag == "--json-payload") {
@@ -288,7 +299,8 @@ main(int argc, char** argv)
                 "usage: eve_sweep [--systems LIST] [--pf LIST]\n"
                 "  [--llc-mshrs LIST] [--l2-mshrs LIST] [--dtus LIST]\n"
                 "  [--prefetch LIST] [--workloads LIST] [--threads N]\n"
-                "  [--parity GOLDEN] [--small | --paper] [--sample SPEC]\n"
+                "  [--parity GOLDEN] [--update-parity GOLDEN]\n"
+                "  [--small | --paper] [--sample SPEC]\n"
                 "  [--checkpoint-dir PATH]\n"
                 "  [--keep-going|--abort-on-failure]\n"
                 "  [--json PATH] [--json-payload PATH] [--csv PATH]\n"
@@ -309,7 +321,9 @@ main(int argc, char** argv)
                 "--checkpoint-dir reuses functional fast-forward\n"
                 "state across sampled jobs.\n"
                 "--parity checks result fingerprints against a golden\n"
-                "file, exactly like eve_perf --parity.\n"
+                "file; --update-parity writes one. Both simulate every\n"
+                "job fresh and ignore the result cache and --jobs-dir,\n"
+                "whose records may come from an older binary.\n"
                 "--workloads defaults to the paper's seven kernels;\n"
                 "extension kernels (axpy, blackscholes,\n"
                 "streamcluster, particlefilter, spmv, fir, scan) are\n"
@@ -334,9 +348,12 @@ main(int argc, char** argv)
               "\"INTERVAL[,WARMUP[,STRIDE]]\", or "
               "\"interval=N;warmup=N;stride=N\")",
               sample_spec.c_str());
-    if (sampling.enabled() && !parity_path.empty())
-        fatal("--sample cannot be combined with --parity: parity "
-              "goldens record exact timing fingerprints");
+    const bool parity_run =
+        !parity_path.empty() || !update_parity_path.empty();
+    if (sampling.enabled() && parity_run)
+        fatal("--sample cannot be combined with --parity or "
+              "--update-parity: parity goldens record exact timing "
+              "fingerprints");
     // Workers restore/save checkpoints for the sampled jobs they
     // claim; the flag rides DistOptions either way.
     dist.checkpoint_dir = opts.checkpoint_dir;
@@ -393,6 +410,21 @@ main(int argc, char** argv)
     }
 
     // ---- sweep construction (in-process or orchestrated) ----
+    exp::ParityFile golden;
+    if (!parity_path.empty())
+        golden = exp::ParityFile::load(parity_path);
+    // Parity simulates fresh: a cached or jobs-directory record may
+    // come from an older binary under the same salt.
+    if (parity_run) {
+        if (!quiet && ((!cache_dir.empty() && !no_cache) ||
+                       !dist.jobs_dir.empty()))
+            std::fprintf(stderr, "parity: simulating every job fresh "
+                                 "(result cache and jobs dir "
+                                 "ignored)\n");
+        no_cache = true;
+        dist.jobs_dir.clear();
+    }
+
     exp::SweepSpec spec;
     std::vector<SystemConfig> configs;
     std::string unknown;
@@ -494,9 +526,22 @@ main(int argc, char** argv)
                      cache->stores());
     }
 
+    if (!update_parity_path.empty()) {
+        const std::size_t ok =
+            exp::countStatus(results, exp::JobStatus::Ok);
+        if (ok != results.size())
+            fatal("--update-parity: %zu of %zu jobs did not run Ok; "
+                  "%s not written",
+                  results.size() - ok, results.size(),
+                  update_parity_path.c_str());
+        const exp::ParityFile fresh =
+            exp::ParityFile::fromResults(results, scale);
+        fresh.save(update_parity_path);
+        std::printf("timing parity: %zu grid points written to %s\n",
+                    fresh.size(), update_parity_path.c_str());
+    }
     if (!parity_path.empty()) {
-        const auto diffs = exp::ParityFile::load(parity_path)
-                               .check(results, scale);
+        const auto diffs = golden.check(results, scale);
         if (!diffs.empty()) {
             for (const auto& d : diffs)
                 std::fprintf(stderr, "parity: %s\n", d.c_str());
