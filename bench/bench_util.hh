@@ -108,28 +108,15 @@ fig6Sweep(bool small)
 }
 
 /**
- * Every knob of a sweep execution in one place. Each field's empty/
- * zero default defers to the corresponding environment variable, so
- * a default-constructed SweepOptions behaves exactly like the env-
- * driven plumbing it replaced; a harness that needs to pin a value
- * sets the field and the env var is ignored.
+ * What a harness sets on a sweep. Everything else comes from the
+ * environment: EVE_EXP_CACHE_DIR (result cache), EVE_EXP_JOBS_DIR
+ * (distributed execution), EVE_EXP_THREADS (worker threads or lanes)
+ * and EVE_EXP_CKPT_DIR (checkpoints).
  */
 struct SweepOptions
 {
     /** JSONL artifact name; empty writes no artifact. */
     std::string artifact;
-
-    /** Result-cache directory; empty defers to EVE_EXP_CACHE_DIR. */
-    std::string cache_dir;
-
-    /**
-     * Distributed jobs directory; empty defers to EVE_EXP_JOBS_DIR.
-     * When neither is set the sweep runs on the in-process pool.
-     */
-    std::string jobs_dir;
-
-    /** Worker threads / distributed lanes; 0 defers to EVE_EXP_THREADS. */
-    unsigned threads = 0;
 
     /**
      * Interval-sampling schedule applied to every job (see
@@ -138,29 +125,20 @@ struct SweepOptions
      * bench run never collides with exact records.
      */
     SamplingConfig sampling;
-
-    /**
-     * Functional-checkpoint directory for sampled jobs; empty defers
-     * to EVE_EXP_CKPT_DIR.
-     */
-    std::string checkpoint_dir;
-
-    /** Die unless every job is Ok/Cached (on by default). */
-    bool require_ok = true;
 };
 
 /**
- * Optional result cache from @p dir, or EVE_EXP_CACHE_DIR when empty
- * (nullptr when neither is set). Rerunning a harness then
- * re-simulates only grid points whose content key changed.
+ * Optional result cache from EVE_EXP_CACHE_DIR (nullptr when unset).
+ * Rerunning a harness then re-simulates only grid points whose
+ * content key changed.
  */
 inline std::unique_ptr<exp::ResultCache>
-envCache(const std::string& dir = {})
+envCache()
 {
-    const std::string resolved = dir.empty() ? exp::envCacheDir() : dir;
-    if (resolved.empty())
+    const std::string dir = exp::envCacheDir();
+    if (dir.empty())
         return nullptr;
-    auto cache = std::make_unique<exp::ResultCache>(resolved);
+    auto cache = std::make_unique<exp::ResultCache>(dir);
     const std::size_t loaded = cache->load();
     std::fprintf(stderr, "cache: %zu entries in %s\n", loaded,
                  cache->filePath().c_str());
@@ -194,13 +172,12 @@ writeArtifact(const std::vector<exp::JobResult>& results,
 /**
  * The standard harness plumbing in one call, over an explicit job
  * list: reindex the jobs 0..N-1, wire up the optional result cache,
- * execute, die if any job failed (unless opts.require_ok is off),
- * write the JSONL artifact (skipped when opts.artifact is empty),
- * and hand back the index-ordered results.
+ * execute, die unless every job is Ok or Cached, write the JSONL
+ * artifact (skipped when opts.artifact is empty), and hand back the
+ * index-ordered results.
  *
- * When a jobs directory is configured (opts.jobs_dir or
- * EVE_EXP_JOBS_DIR) the jobs run over the distributed job-file
- * protocol (exp/dist.hh) under that directory — any
+ * When EVE_EXP_JOBS_DIR is set the jobs run over the distributed
+ * job-file protocol (exp/dist.hh) under that directory — any
  * `eve_sweep --worker --jobs-dir DIR` processes sharing it take part
  * — otherwise on the in-process thread pool. Either way the results
  * (and the artifact) are byte-identical, so the choice is a pure
@@ -215,37 +192,30 @@ runSweep(std::vector<exp::Job> jobs, const SweepOptions& opts = {})
         if (!spec.empty() && !parseSamplingFlag(spec, sampling))
             fatal("EVE_EXP_SAMPLE: bad spec '%s'", spec.c_str());
     }
-    const std::string checkpoint_dir = opts.checkpoint_dir.empty()
-                                           ? exp::envCheckpointDir()
-                                           : opts.checkpoint_dir;
     for (std::size_t i = 0; i < jobs.size(); ++i) {
         jobs[i].index = i;
         if (sampling.enabled())
             jobs[i].sampling = sampling;
     }
-    const auto cache = envCache(opts.cache_dir);
+    const auto cache = envCache();
     std::vector<exp::JobResult> results;
-    const std::string jobs_dir =
-        opts.jobs_dir.empty() ? exp::envJobsDir() : opts.jobs_dir;
+    const std::string jobs_dir = exp::envJobsDir();
     if (!jobs_dir.empty()) {
         exp::DistOptions dist;
         dist.jobs_dir = jobs_dir;
-        const unsigned lanes =
-            opts.threads ? opts.threads : exp::envThreads();
+        const unsigned lanes = exp::envThreads();
         dist.lanes =
             lanes ? lanes : std::thread::hardware_concurrency();
-        dist.checkpoint_dir = checkpoint_dir;
+        dist.checkpoint_dir = exp::envCheckpointDir();
         results = exp::runDistributed(jobs, dist, cache.get());
     } else {
         exp::RunnerOptions ropts;
-        ropts.threads = opts.threads ? opts.threads
-                                     : exp::envThreads();
+        ropts.threads = exp::envThreads();
         ropts.cache = cache.get();
-        ropts.checkpoint_dir = checkpoint_dir;
+        ropts.checkpoint_dir = exp::envCheckpointDir();
         results = exp::Runner(ropts).run(jobs);
     }
-    if (opts.require_ok)
-        requireAllOk(results);
+    requireAllOk(results);
     if (!opts.artifact.empty())
         writeArtifact(results, opts.artifact);
     return results;

@@ -1,6 +1,8 @@
 #include "common/fs.hh"
 
+#include <atomic>
 #include <cerrno>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -57,8 +59,11 @@ bool
 tryAtomicWriteFile(const std::string& path, const std::string& content,
                    std::string* err)
 {
-    const std::string tmp = path + "." +
-                            std::to_string(::getpid()) + kTmpSuffix;
+    // One name per write, not per process: two threads writing one
+    // path must not share (and rename away) each other's temp file.
+    static std::atomic<std::uint64_t> writes{0};
+    const std::string tmp = path + "." + std::to_string(::getpid()) +
+                            "." + std::to_string(writes++) + kTmpSuffix;
     const int fd =
         ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
     if (fd < 0) {
@@ -121,6 +126,32 @@ renameFile(const std::string& from, const std::string& to)
         warn("rename '%s' -> '%s': %s", from.c_str(), to.c_str(),
              std::strerror(errno));
     return false;
+}
+
+bool
+createExclusive(const std::string& path, const std::string& content)
+{
+    const int fd =
+        ::open(path.c_str(), O_WRONLY | O_CREAT | O_EXCL, 0644);
+    if (fd < 0) {
+        if (errno != EEXIST)
+            warn("create '%s': %s", path.c_str(), std::strerror(errno));
+        return false;
+    }
+    std::size_t off = 0;
+    while (off < content.size()) {
+        const ssize_t n =
+            ::write(fd, content.data() + off, content.size() - off);
+        if (n < 0 && errno == EINTR)
+            continue;
+        if (n < 0) {
+            warn("write '%s': %s", path.c_str(), std::strerror(errno));
+            break;
+        }
+        off += static_cast<std::size_t>(n);
+    }
+    ::close(fd);
+    return true;
 }
 
 void

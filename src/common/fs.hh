@@ -4,14 +4,15 @@
  *
  * Everything durable the experiment stack writes goes through
  * atomicWriteFile(): the content lands in a same-directory temp file
- * (`<path>.<pid>.tmp`), is fsync'd, and is rename(2)'d over the
- * target, so a reader can never observe a torn or partial file — it
- * sees either the old bytes or the new bytes. The distributed sweep
- * protocol additionally leans on two POSIX guarantees:
+ * (`<path>.<pid>.<n>.tmp`, a fresh name for every write), is
+ * fsync'd, and is rename(2)'d over the target, so a reader can never
+ * observe a torn or partial file — it sees either the old bytes or
+ * the new bytes. The distributed sweep protocol additionally leans
+ * on two POSIX guarantees:
  *
- *  - rename(2) within one filesystem is atomic, and when two
- *    processes race to rename the same source, exactly one succeeds
- *    (the loser gets ENOENT) — this is the job-claim primitive;
+ *  - open(2) with O_CREAT|O_EXCL creates a file in exactly one of
+ *    the processes racing to create it (the others get EEXIST) —
+ *    this is the job-claim primitive;
  *  - flock(2) gives advisory whole-file mutual exclusion across
  *    processes — this serializes multi-process appends to the
  *    result-cache journal.
@@ -26,8 +27,9 @@ namespace eve
 {
 
 /**
- * Write @p content to `<path>.<pid>.tmp` in the target's directory,
- * fsync it, and atomically rename it over @p path (fsyncing the
+ * Write @p content to `<path>.<pid>.<n>.tmp` in the target's
+ * directory (n counts this process's writes, so concurrent writers of
+ * one path never share a temp file), fsync it, and atomically rename it over @p path (fsyncing the
  * directory afterwards). Returns false with @p err set on any I/O
  * failure; the temp file is removed on failure when possible.
  */
@@ -40,17 +42,26 @@ void atomicWriteFile(const std::string& path,
 
 /**
  * The temp-file suffix tryAtomicWriteFile() uses. A `*.tmp` file left
- * behind in a protocol directory is the signature of a writer that
- * died mid-write; the distributed sweep quarantines such leftovers.
+ * behind is the signature of a writer that died mid-write; every
+ * reader ignores such files, and nothing removes them automatically.
  */
 inline constexpr const char* kTmpSuffix = ".tmp";
 
 /**
  * rename(2) @p from over @p to. Returns true if *this caller's*
- * rename succeeded. ENOENT (another process claimed/moved the source
- * first) is a quiet false; any other failure warns.
+ * rename succeeded. ENOENT (another process moved the source first)
+ * is a quiet false; any other failure warns.
  */
 bool renameFile(const std::string& from, const std::string& to);
+
+/**
+ * Create @p path with open(2) O_CREAT|O_EXCL and write @p content
+ * into it. Returns true only for the one caller that created the
+ * file: EEXIST (another caller won) is a quiet false, and any other
+ * failure warns.
+ */
+bool createExclusive(const std::string& path,
+                     const std::string& content);
 
 /** Remove a file; missing files are fine. */
 void removeFile(const std::string& path);

@@ -5,7 +5,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <functional>
+#include <set>
 #include <sstream>
 
 #include <unistd.h>
@@ -24,41 +24,31 @@ namespace eve::exp
 namespace
 {
 
-/** Sorted regular-file names in @p dir (missing dir = empty). */
-std::vector<std::string>
-listDir(const std::string& dir)
+/**
+ * Sorted stems of the files in @p dir named `<stem><suffix>` (missing
+ * dir = none). Temp files (`<name>.<pid>.<n>.tmp`) never match, so
+ * in-flight and abandoned writes are invisible.
+ */
+std::set<std::string>
+stems(const std::string& dir, const std::string& suffix)
 {
-    std::vector<std::string> names;
+    std::set<std::string> out;
     std::error_code ec;
-    std::filesystem::directory_iterator it(dir, ec);
-    if (ec)
-        return names;
-    for (const auto& entry : it) {
-        std::error_code type_ec;
-        if (entry.is_regular_file(type_ec))
-            names.push_back(entry.path().filename().string());
+    for (const auto& entry :
+         std::filesystem::directory_iterator(dir, ec)) {
+        const std::string name = entry.path().filename().string();
+        if (name.size() > suffix.size() &&
+            name.compare(name.size() - suffix.size(), suffix.size(),
+                         suffix) == 0)
+            out.insert(name.substr(0, name.size() - suffix.size()));
     }
-    std::sort(names.begin(), names.end());
-    return names;
+    return out;
 }
 
-bool
-isTmpName(const std::string& name)
+std::string
+claimName(const std::string& key, unsigned n)
 {
-    const std::string suffix = kTmpSuffix;
-    return name.size() > suffix.size() &&
-           name.compare(name.size() - suffix.size(), suffix.size(),
-                        suffix) == 0;
-}
-
-/** Count non-tmp files (tmp files are in-flight writes, not state). */
-std::size_t
-countFinal(const std::string& dir)
-{
-    std::size_t n = 0;
-    for (const auto& name : listDir(dir))
-        n += !isTmpName(name);
-    return n;
+    return "claims/" + key + "." + std::to_string(n);
 }
 
 std::string
@@ -77,20 +67,26 @@ sleepFor(double seconds)
         std::chrono::duration<double>(seconds));
 }
 
+/** Idle rescan period: a tenth of the lease, at most 0.25 s. */
+double
+pollSeconds(const DistOptions& opts)
+{
+    return std::min(0.25, opts.lease_timeout_s / 10);
+}
+
 /**
- * Order-independent fingerprint of the grid's job keys: workers use
- * it to refuse a directory built for a different sweep or by a
- * diverged binary.
+ * Fingerprint of the grid's distinct job keys: an orchestrator uses
+ * it to refuse a directory built for a different sweep.
  */
 std::string
-gridFingerprint(const std::vector<Job>& jobs)
+gridFingerprint(const std::map<std::string, const Job*>& by_key)
 {
-    std::uint64_t acc = 0;
-    for (const auto& job : jobs)
-        acc ^= fnv1a64(jobKey(job) + "@" + std::to_string(job.index));
+    std::string all;
+    for (const auto& [key, job] : by_key)
+        all += key + "\n";
     char buf[17];
     std::snprintf(buf, sizeof(buf), "%016llx",
-                  static_cast<unsigned long long>(acc));
+                  static_cast<unsigned long long>(fnv1a64(all)));
     return buf;
 }
 
@@ -139,6 +135,9 @@ readManifest(const std::string& path, ManifestInfo& out)
 /** Process-wide cooperative stop flag (set from signal handlers). */
 std::atomic<bool> worker_stop{false};
 
+/** Actors created in this process; names them apart. */
+std::atomic<unsigned> actors{0};
+
 } // namespace
 
 void
@@ -157,14 +156,12 @@ std::string
 distJobText(const DistJob& job)
 {
     std::string out;
-    out += "index=" + std::to_string(job.index) + "\n";
     out += "key=" + job.key + "\n";
     out += "label=" + job.label + "\n";
     out += "workload=" + job.workload + "\n";
     out += "scale=" + job.scale + "\n";
     out += "config=" + job.config + "\n";
     out += "sampling=" + job.sampling + "\n";
-    out += "attempts=" + std::to_string(job.attempts) + "\n";
     out += "remote=" + std::string(job.remote ? "1" : "0") + "\n";
     return out;
 }
@@ -177,28 +174,18 @@ parseDistJob(const std::string& text, DistJob& out)
     std::vector<std::string> lines;
     while (std::getline(is, line))
         lines.push_back(line);
-    if (lines.size() != 9)
+    if (lines.size() != 7)
         return false;
 
     DistJob job;
-    std::string index_s, attempts_s, remote_s;
-    if (!lineValue(lines[0], "index", index_s) ||
-        !lineValue(lines[1], "key", job.key) ||
-        !lineValue(lines[2], "label", job.label) ||
-        !lineValue(lines[3], "workload", job.workload) ||
-        !lineValue(lines[4], "scale", job.scale) ||
-        !lineValue(lines[5], "config", job.config) ||
-        !lineValue(lines[6], "sampling", job.sampling) ||
-        !lineValue(lines[7], "attempts", attempts_s) ||
-        !lineValue(lines[8], "remote", remote_s))
-        return false;
-    char* end = nullptr;
-    job.index = std::strtoull(index_s.c_str(), &end, 10);
-    if (!end || *end != '\0' || index_s.empty())
-        return false;
-    job.attempts =
-        static_cast<unsigned>(std::strtoul(attempts_s.c_str(), &end, 10));
-    if (!end || *end != '\0' || attempts_s.empty())
+    std::string remote_s;
+    if (!lineValue(lines[0], "key", job.key) ||
+        !lineValue(lines[1], "label", job.label) ||
+        !lineValue(lines[2], "workload", job.workload) ||
+        !lineValue(lines[3], "scale", job.scale) ||
+        !lineValue(lines[4], "config", job.config) ||
+        !lineValue(lines[5], "sampling", job.sampling) ||
+        !lineValue(lines[6], "remote", remote_s))
         return false;
     if (remote_s != "0" && remote_s != "1")
         return false;
@@ -215,7 +202,6 @@ rebuildJob(const DistJob& dist, Job& out)
     if (!dist.remote)
         return false;
     Job job;
-    job.index = dist.index;
     job.label = dist.label;
     job.workload = dist.workload;
     job.scale = dist.scale;
@@ -249,8 +235,7 @@ formatDistStatus(const DistStatus& s)
     std::ostringstream os;
     os << "total " << s.total << ": " << s.pending << " pending, "
        << s.claimed << " claimed, " << s.done << " done, " << s.failed
-       << " failed, " << s.quarantined << " quarantined"
-       << (s.complete() ? " [complete]" : "");
+       << " failed" << (s.complete() ? " [complete]" : "");
     return os.str();
 }
 
@@ -264,11 +249,8 @@ JobsDir::JobsDir(DistOptions options) : opts(std::move(options))
         fatal("jobs dir: empty directory path");
     while (opts.jobs_dir.size() > 1 && opts.jobs_dir.back() == '/')
         opts.jobs_dir.pop_back();
-    if (opts.max_attempts == 0)
-        opts.max_attempts = 1;
-    worker_id = opts.worker_id.empty()
-                    ? hostName() + "-" + std::to_string(::getpid())
-                    : opts.worker_id;
+    owner_name = hostName() + "-" + std::to_string(::getpid()) + "-" +
+                 std::to_string(actors++);
 }
 
 JobsDir::~JobsDir()
@@ -282,30 +264,25 @@ JobsDir::~JobsDir()
         hb_thread.join();
 }
 
-std::string
-JobsDir::jobName(std::size_t index)
-{
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "job-%06zu", index);
-    return buf;
-}
-
 void
 JobsDir::materialize(const std::vector<Job>& jobs)
 {
-    makeDirs(pendingDir());
-    makeDirs(claimedDir());
-    makeDirs(leaseDir());
-    makeDirs(doneDir());
-    makeDirs(failedDir());
-    makeDirs(quarantineDir());
+    for (const char* sub : {"jobs", "claims", "done", "failed"})
+        makeDirs(at(sub));
+
+    // Jobs of one grid that share a key share one job file and one
+    // record; the first such job names it.
+    std::map<std::string, const Job*> by_key;
+    for (const auto& job : jobs)
+        by_key.try_emplace(jobKey(job), &job);
+    const std::string grid = gridFingerprint(by_key);
 
     // A manifest from another protocol version or simulator salt is
     // refused like a foreign grid: its done/ records would otherwise
     // be merged, and cached, as this binary's results.
-    const std::string grid = gridFingerprint(jobs);
     ManifestInfo existing;
-    if (readManifest(manifestPath(), existing)) {
+    const bool resumed = readManifest(at("manifest.txt"), existing);
+    if (resumed) {
         const char* skew =
             existing.version != kDistProtocolVersion ? "version"
             : existing.salt != kSimulatorSalt        ? "salt"
@@ -318,48 +295,41 @@ JobsDir::materialize(const std::vector<Job>& jobs)
     }
 
     std::size_t created = 0;
-    for (const auto& job : jobs) {
-        const std::string name = jobName(job.index);
-        const std::string file = name + ".job";
-        // Resume-safe: a job already in any state is left alone.
-        if (fileExists(pendingDir() + "/" + file) ||
-            fileExists(claimedDir() + "/" + file) ||
-            fileExists(doneDir() + "/" + name + ".json") ||
-            fileExists(failedDir() + "/" + name + ".json") ||
-            fileExists(quarantineDir() + "/" + file))
-            continue;
+    for (const auto& [key, job] : by_key) {
+        const std::string path = at("jobs/" + key + ".job");
+        if (fileExists(path))
+            continue; // written once, never changed
         DistJob dist;
-        dist.index = job.index;
-        dist.key = jobKey(job);
-        dist.label = job.label;
-        dist.workload = job.workload;
-        dist.scale = job.scale;
-        dist.config = configCanonical(job.config);
-        dist.sampling = samplingCanonical(job.sampling);
-        dist.attempts = 0;
+        dist.key = key;
+        dist.label = job->label;
+        dist.workload = job->workload;
+        dist.scale = job->scale;
+        dist.config = configCanonical(job->config);
+        dist.sampling = samplingCanonical(job->sampling);
         // Spec-less workers can only run jobs they can rebuild from
         // the file: standard-scale library workloads with no custom
         // executor. Everything else stays local to processes holding
         // the in-memory Job.
-        dist.remote = !job.exec &&
-                      makeWorkloadScaled(job.workload,
-                                         job.scale) != nullptr;
-        atomicWriteFile(pendingDir() + "/" + file, distJobText(dist));
+        dist.remote = !job->exec &&
+                      makeWorkloadScaled(job->workload,
+                                         job->scale) != nullptr;
+        atomicWriteFile(path, distJobText(dist));
         ++created;
     }
 
-    // The manifest is written last: its presence tells workers the
-    // pending/ population is complete and names the grid they must
-    // match.
-    std::string text;
-    text += "version=" + std::string(kDistProtocolVersion) + "\n";
-    text += "salt=" + std::string(kSimulatorSalt) + "\n";
-    text += "total=" + std::to_string(jobs.size()) + "\n";
-    text += "grid=" + grid + "\n";
-    atomicWriteFile(manifestPath(), text);
+    // The manifest is written last: its presence tells workers that
+    // every job file exists and names the grid they must match.
+    if (!resumed) {
+        std::string text;
+        text += "version=" + std::string(kDistProtocolVersion) + "\n";
+        text += "salt=" + std::string(kSimulatorSalt) + "\n";
+        text += "total=" + std::to_string(by_key.size()) + "\n";
+        text += "grid=" + grid + "\n";
+        atomicWriteFile(at("manifest.txt"), text);
+    }
     if (created > 0)
         inform("jobs dir %s: materialized %zu of %zu jobs",
-               opts.jobs_dir.c_str(), created, jobs.size());
+               opts.jobs_dir.c_str(), created, by_key.size());
 }
 
 DistStatus
@@ -367,7 +337,7 @@ JobsDir::manifest() const
 {
     DistStatus s;
     ManifestInfo info;
-    if (!readManifest(manifestPath(), info))
+    if (!readManifest(at("manifest.txt"), info))
         return s;
     if (info.version != kDistProtocolVersion) {
         if (!info.version.empty())
@@ -390,161 +360,76 @@ DistStatus
 JobsDir::status() const
 {
     DistStatus s = manifest();
-    s.pending = countFinal(pendingDir());
-    s.claimed = countFinal(claimedDir());
-    s.done = countFinal(doneDir());
-    s.failed = countFinal(failedDir());
-    s.quarantined = 0;
-    for (const auto& name : listDir(quarantineDir()))
-        s.quarantined += !isTmpName(name);
+    for (const auto& key : stems(at("jobs"), ".job")) {
+        if (fileExists(at("done/" + key + ".json")))
+            ++s.done;
+        else if (fileExists(at("failed/" + key + ".json")))
+            ++s.failed;
+        else if (fileExists(at(claimName(key, 0))))
+            ++s.claimed;
+        else
+            ++s.pending;
+    }
     return s;
 }
 
 bool
 JobsDir::stopRequested() const
 {
-    return fileExists(stopPath());
+    return fileExists(at("stop"));
 }
 
 void
 JobsDir::requestStop()
 {
     makeDirs(opts.jobs_dir);
-    atomicWriteFile(stopPath(), "stop\n");
+    atomicWriteFile(at("stop"), "stop\n");
 }
 
 void
 JobsDir::clearStop()
 {
-    removeFile(stopPath());
+    removeFile(at("stop"));
 }
 
-void
-JobsDir::writeLease(const std::string& name)
+const std::vector<DistJob>&
+JobsDir::jobFiles()
 {
-    std::uint64_t seq = 0;
-    {
-        std::lock_guard<std::mutex> lock(hb_mutex);
-        seq = held[name];
+    if (!job_files.empty())
+        return job_files;
+    for (const auto& key : stems(at("jobs"), ".job")) {
+        std::string text;
+        DistJob dist;
+        if (!readFile(at("jobs/" + key + ".job"), text) ||
+            !parseDistJob(text, dist) || dist.key != key) {
+            warn("jobs dir: ignoring malformed job file '%s.job'",
+                 key.c_str());
+            continue;
+        }
+        job_files.push_back(std::move(dist));
     }
-    // A plain overwrite: lease readers only watch for *change*, so a
-    // torn read at worst resets their staleness timer.
-    std::ofstream out(leaseDir() + "/" + name + ".lease",
-                      std::ios::trunc);
-    out << worker_id << " " << seq << "\n";
-}
-
-void
-JobsDir::startHeartbeat()
-{
-    if (hb_thread.joinable())
-        return;
-    hb_thread = std::thread([this] { heartbeatLoop(); });
+    return job_files;
 }
 
 void
 JobsDir::heartbeatLoop()
 {
+    const std::chrono::duration<double> period(opts.lease_timeout_s / 10);
     std::unique_lock<std::mutex> lock(hb_mutex);
-    while (!hb_stop) {
-        hb_cv.wait_for(
-            lock, std::chrono::duration<double>(opts.heartbeat_s));
-        if (hb_stop)
-            return;
-        std::vector<std::string> names;
-        for (auto& [name, seq] : held) {
-            ++seq;
-            names.push_back(name);
-        }
+    while (!hb_cv.wait_for(lock, period, [this] { return hb_stop; })) {
+        std::vector<std::pair<std::string, std::uint64_t>> due;
+        for (auto& [key, claim] : held)
+            due.emplace_back(claim.path, ++claim.seq);
         lock.unlock();
-        for (const auto& name : names)
-            writeLease(name);
+        // Rewrite this actor's own file in place, without truncation:
+        // the content only grows (seq counts up), so no reader sees
+        // an empty claim, and a torn read at worst resets an
+        // observer's staleness timer.
+        for (const auto& [path, seq] : due)
+            std::ofstream(path, std::ios::in | std::ios::out)
+                << owner_name << " " << seq << "\n";
         lock.lock();
     }
-}
-
-bool
-JobsDir::claimNext(DistJob& out, const std::vector<std::string>& skip)
-{
-    std::vector<std::string> names = listDir(pendingDir());
-    // Start the scan at a per-worker offset so a fleet does not
-    // stampede the same claim file.
-    if (names.size() > 1) {
-        const std::size_t offset =
-            fnv1a64(worker_id) % names.size();
-        std::rotate(names.begin(), names.begin() + offset,
-                    names.end());
-    }
-    for (const auto& file : names) {
-        if (isTmpName(file))
-            continue;
-        if (std::find(skip.begin(), skip.end(), file) != skip.end())
-            continue;
-        const std::string from = pendingDir() + "/" + file;
-        const std::string to = claimedDir() + "/" + file;
-        if (!renameFile(from, to))
-            continue; // lost the race; try the next one
-        std::string text;
-        DistJob dist;
-        if (!readFile(to, text) || !parseDistJob(text, dist)) {
-            // Unreadable claim file: quarantine it rather than loop.
-            warn("jobs dir: quarantining unparseable job file '%s'",
-                 file.c_str());
-            renameFile(to, quarantineDir() + "/" + file);
-            continue;
-        }
-        const std::string name = jobName(dist.index);
-        if (fileExists(doneDir() + "/" + name + ".json") ||
-            fileExists(failedDir() + "/" + name + ".json")) {
-            // A slow twin already published this job (reclaim race);
-            // drop the duplicate claim.
-            removeFile(to);
-            continue;
-        }
-        {
-            std::lock_guard<std::mutex> lock(hb_mutex);
-            held[name] = 0;
-        }
-        writeLease(name);
-        startHeartbeat();
-        out = std::move(dist);
-        return true;
-    }
-    return false;
-}
-
-void
-JobsDir::releaseClaim(const std::string& name)
-{
-    {
-        std::lock_guard<std::mutex> lock(hb_mutex);
-        held.erase(name);
-    }
-    removeFile(leaseDir() + "/" + name + ".lease");
-}
-
-void
-JobsDir::publishResult(const DistJob& job, const JobResult& r)
-{
-    const std::string name = jobName(job.index);
-    const std::string dir =
-        r.status == JobStatus::Ok ? doneDir() : failedDir();
-    // Result first, release after: a crash in between leaves a
-    // published result plus a stale claim, which reclaim recognizes
-    // and cleans up without re-running the job.
-    atomicWriteFile(dir + "/" + name + ".json",
-                    resultToJson(r, /*include_host_time=*/true) + "\n");
-    removeFile(claimedDir() + "/" + name + ".job");
-    releaseClaim(name);
-}
-
-void
-JobsDir::abandonClaim(const DistJob& job)
-{
-    const std::string name = jobName(job.index);
-    renameFile(claimedDir() + "/" + name + ".job",
-               pendingDir() + "/" + name + ".job");
-    releaseClaim(name);
 }
 
 bool
@@ -565,94 +450,100 @@ JobsDir::observeStale(const std::string& path,
                .count() >= opts.lease_timeout_s;
 }
 
-std::size_t
-JobsDir::reclaimExpired()
+void
+JobsDir::abandon(const DistJob& job, const std::string& last_claim)
 {
-    std::size_t transitions = 0;
-    for (const auto& file : listDir(claimedDir())) {
-        if (isTmpName(file))
-            continue;
-        const std::string claimed = claimedDir() + "/" + file;
-        const std::string name =
-            file.substr(0, file.find_last_of('.'));
-
-        // A claim whose result is already on disk is just debris
-        // from a worker that died after publishing.
-        if (fileExists(doneDir() + "/" + name + ".json") ||
-            fileExists(failedDir() + "/" + name + ".json")) {
-            removeFile(claimed);
-            removeFile(leaseDir() + "/" + name + ".lease");
-            ++transitions;
-            continue;
-        }
-
-        const std::string lease_path =
-            leaseDir() + "/" + name + ".lease";
-        std::string lease;
-        readFile(lease_path, lease); // missing lease = "" content
-        if (!observeStale(claimed, lease))
-            continue;
-
-        std::string text;
-        DistJob dist;
-        if (!readFile(claimed, text) || !parseDistJob(text, dist)) {
-            warn("jobs dir: quarantining unparseable claimed job "
-                 "'%s'", file.c_str());
-            renameFile(claimed, quarantineDir() + "/" + file);
-            removeFile(lease_path);
-            observed.erase(claimed);
-            ++transitions;
-            continue;
-        }
-        dist.attempts += 1;
-        // Rewrite-then-rename: if we die between the two, the bumped
-        // claim file is still claimed and simply expires again.
-        atomicWriteFile(claimed, distJobText(dist));
-        if (dist.attempts >= opts.max_attempts) {
-            if (renameFile(claimed, quarantineDir() + "/" + file)) {
-                warn("jobs dir: quarantined %s after %u attempts "
-                     "(last lease: %s)", name.c_str(), dist.attempts,
-                     lease.empty() ? "<none>" : lease.c_str());
-                ++transitions;
-            }
-        } else {
-            if (renameFile(claimed, pendingDir() + "/" + file)) {
-                inform("jobs dir: reclaimed %s (attempt %u, stale "
-                       "lease: %s)", name.c_str(), dist.attempts,
-                       lease.empty() ? "<none>" : lease.c_str());
-                ++transitions;
-            }
-        }
-        removeFile(lease_path);
-        observed.erase(claimed);
-    }
-    return transitions;
+    const std::string path = at("failed/" + job.key + ".json");
+    if (fileExists(path))
+        return; // another observer got there first
+    const std::string last_owner =
+        last_claim.substr(0, last_claim.find_first_of(" \n"));
+    JobResult r;
+    r.label = job.label;
+    r.workload = job.workload;
+    parseConfigCanonical(job.config, r.config);
+    r.status = JobStatus::Failed;
+    r.error = "abandoned after " + std::to_string(kMaxClaims) +
+              " claims (crashed or hung workers; last claim by " +
+              (last_owner.empty() ? "<unknown>" : last_owner) + ")";
+    atomicWriteFile(path, resultToJson(r, /*include_host_time=*/true) +
+                              "\n");
+    warn("jobs dir: %s %s", job.key.c_str(), r.error.c_str());
 }
 
-std::size_t
-JobsDir::quarantinePartials()
+bool
+JobsDir::claimNext(DistJob& out, const CanRun& can_run)
 {
-    std::size_t moved = 0;
-    for (const std::string& dir : {doneDir(), failedDir()}) {
-        for (const auto& file : listDir(dir)) {
-            if (!isTmpName(file))
+    const std::vector<DistJob>& all = jobFiles();
+    // Start the scan at a per-actor offset so a fleet does not
+    // stampede the same job.
+    const std::size_t start =
+        all.empty() ? 0 : fnv1a64(owner_name) % all.size();
+    for (std::size_t i = 0; i < all.size(); ++i) {
+        const DistJob& job = all[(start + i) % all.size()];
+        if (fileExists(at("done/" + job.key + ".json")) ||
+            fileExists(at("failed/" + job.key + ".json")))
+            continue;
+        {
+            std::lock_guard<std::mutex> lock(hb_mutex);
+            if (held.count(job.key))
                 continue;
-            const std::string path = dir + "/" + file;
-            std::error_code ec;
-            const auto size = std::filesystem::file_size(path, ec);
-            if (ec)
-                continue; // completed (renamed away) under us
-            if (!observeStale(path, "size=" + std::to_string(size)))
-                continue;
-            if (renameFile(path, quarantineDir() + "/" + file)) {
-                warn("jobs dir: quarantined partial result file %s",
-                     file.c_str());
-                ++moved;
-            }
-            observed.erase(path);
         }
+        // Claim N+1 is only ever created after claim N.
+        unsigned claims = 0;
+        while (claims < kMaxClaims &&
+               fileExists(at(claimName(job.key, claims))))
+            ++claims;
+        bool claimable = claims == 0;
+        if (claims > 0) {
+            // Watch the newest claim even of jobs this actor cannot
+            // run: abandoning needs no ability to run the job.
+            const std::string newest = at(claimName(job.key, claims - 1));
+            std::string content;
+            readFile(newest, content); // unreadable = "" content
+            claimable = observeStale(newest, content);
+            if (claimable && claims == kMaxClaims) {
+                abandon(job, content);
+                continue;
+            }
+        }
+        if (can_run && !can_run(job))
+            continue;
+        // Of the actors racing for claim N, exactly one create wins.
+        const std::string path = at(claimName(job.key, claims));
+        if (!claimable ||
+            !createExclusive(path, owner_name + " 0\n"))
+            continue;
+        if (claims > 0)
+            inform("jobs dir: %s claimed by %s after %u stale "
+                   "claim(s)", job.key.c_str(), owner_name.c_str(),
+                   claims);
+        {
+            std::lock_guard<std::mutex> lock(hb_mutex);
+            held[job.key] = HeldClaim{path, 0};
+            if (!hb_thread.joinable())
+                hb_thread = std::thread([this] { heartbeatLoop(); });
+        }
+        out = job;
+        return true;
     }
-    return moved;
+    return false;
+}
+
+void
+JobsDir::publishResult(const DistJob& job, const JobResult& r)
+{
+    const std::string path =
+        at((r.status == JobStatus::Ok ? "done/" : "failed/") + job.key +
+           ".json");
+    // A twin that ran the job after this actor's claim went stale may
+    // have published already; its record carries the same payload.
+    if (!fileExists(path))
+        atomicWriteFile(path,
+                        resultToJson(r, /*include_host_time=*/true) +
+                            "\n");
+    std::lock_guard<std::mutex> lock(hb_mutex);
+    held.erase(job.key);
 }
 
 std::vector<JobResult>
@@ -668,34 +559,20 @@ JobsDir::merge(const std::vector<Job>& jobs) const
         out.config = job.config;
         out.axes = job.axes;
 
-        const std::string name = jobName(job.index);
+        const std::string key = jobKey(job);
         std::string text;
-        if (readFile(doneDir() + "/" + name + ".json", text) ||
-            readFile(failedDir() + "/" + name + ".json", text)) {
-            JobResult parsed;
-            if (parseResultJson(text, parsed)) {
-                // Payload from the record, identity from the job —
-                // the same split the result cache uses.
-                adoptPayload(out, std::move(parsed));
-                continue;
-            }
+        if (!readFile(at("done/" + key + ".json"), text) &&
+            !readFile(at("failed/" + key + ".json"), text))
+            continue; // no record: stays Skipped (identity only)
+        JobResult parsed;
+        if (!parseResultJson(text, parsed)) {
             out.status = JobStatus::Failed;
-            out.error = "unparseable result record for " + name;
+            out.error = "unparseable result record for " + key;
             continue;
         }
-        std::string quarantined;
-        if (readFile(quarantineDir() + "/" + name + ".job",
-                     quarantined)) {
-            DistJob dist;
-            const unsigned attempts =
-                parseDistJob(quarantined, dist) ? dist.attempts : 0;
-            out.status = JobStatus::Failed;
-            out.error = "quarantined after " +
-                        std::to_string(attempts) +
-                        " attempts (crashed or hung workers)";
-            continue;
-        }
-        // No terminal file: stays Skipped (identity only).
+        // Payload from the record, identity from the job — the same
+        // split the result cache uses.
+        adoptPayload(out, std::move(parsed));
     }
     return results;
 }
@@ -710,9 +587,11 @@ runDistWorker(const DistOptions& opts,
 {
     JobsDir dir(opts);
     WorkerReport report;
+    const double poll = pollSeconds(opts);
 
     // Wait for the orchestrator's manifest (workers may be started
     // first, e.g. across a fleet of hosts).
+    const double join_timeout = 10 * opts.lease_timeout_s;
     const auto join_start = std::chrono::steady_clock::now();
     while (dir.manifest().total == 0) {
         if (dir.stopRequested() || workerStopRequested()) {
@@ -721,75 +600,72 @@ runDistWorker(const DistOptions& opts,
         }
         if (std::chrono::duration<double>(
                 std::chrono::steady_clock::now() - join_start)
-                .count() > dir.options().join_timeout_s) {
+                .count() > join_timeout) {
             warn("worker %s: no manifest in %s after %.0fs; giving "
-                 "up", dir.workerId().c_str(),
-                 dir.options().jobs_dir.c_str(),
-                 dir.options().join_timeout_s);
+                 "up", dir.owner().c_str(), opts.jobs_dir.c_str(),
+                 join_timeout);
             report.joined = false;
             return report;
         }
-        sleepFor(dir.options().poll_s);
+        sleepFor(poll);
     }
 
-    std::vector<std::string> unrebuildable;
-    std::mutex progress_mutex;
-    std::size_t local_done = 0;
+    // Resolve each job once, before any claim: in-memory first
+    // (orchestrator lanes and bench harnesses hold the real
+    // factories), file-rebuilt otherwise.
+    std::map<std::string, const Job*> local;
+    if (local_jobs)
+        for (const auto& job : *local_jobs)
+            local.try_emplace(jobKey(job), &job);
+    std::map<std::string, Job> runnable;
+    std::set<std::string> refused;
+    bool wanted = false; // an unfinished job this worker can run
+    const auto can_run = [&](const DistJob& dist) {
+        if (runnable.count(dist.key))
+            return wanted = true;
+        if (refused.count(dist.key))
+            return false;
+        Job job;
+        const auto it = local.find(dist.key);
+        if (it != local.end()) {
+            job = *it->second;
+        } else if (!rebuildJob(dist, job)) {
+            refused.insert(dist.key);
+            ++report.unrebuildable;
+            return false;
+        }
+        runnable.emplace(dist.key, std::move(job));
+        return wanted = true;
+    };
 
     while (true) {
         if (dir.stopRequested() || workerStopRequested()) {
             report.stopped = true;
             return report;
         }
-        report.reclaimed += dir.reclaimExpired();
-        report.quarantined += dir.quarantinePartials();
-
+        wanted = false;
         DistJob dist;
-        if (!dir.claimNext(dist, unrebuildable)) {
-            const DistStatus s = dir.status();
-            if (s.complete())
+        if (!dir.claimNext(dist, can_run)) {
+            if (dir.status().complete())
                 return report;
-            if (s.claimed == 0 && !unrebuildable.empty() &&
-                s.pending <= unrebuildable.size()) {
+            if (!wanted) {
                 // Everything left is refused by this worker; leave
                 // it for a compatible one.
                 warn("worker %s: %zu job(s) not rebuildable by this "
-                     "binary; exiting",
-                     dir.workerId().c_str(), unrebuildable.size());
+                     "binary; exiting", dir.owner().c_str(),
+                     refused.size());
                 return report;
             }
-            sleepFor(dir.options().poll_s);
-            continue;
-        }
-
-        // Resolve the claim to a runnable Job: in-memory first
-        // (orchestrator lanes and bench harnesses hold the real
-        // factories), file-rebuilt otherwise.
-        Job job;
-        bool runnable = false;
-        if (local_jobs && dist.index < local_jobs->size() &&
-            jobKey((*local_jobs)[dist.index]) == dist.key) {
-            job = (*local_jobs)[dist.index];
-            runnable = true;
-        } else if (rebuildJob(dist, job)) {
-            runnable = true;
-        }
-        if (!runnable) {
-            ++report.unrebuildable;
-            unrebuildable.push_back(JobsDir::jobName(dist.index) +
-                                    ".job");
-            dir.abandonClaim(dist);
+            sleepFor(poll);
             continue;
         }
 
         JobResult r;
-        runJob(job, r, dir.options().checkpoint_dir);
+        runJob(runnable.at(dist.key), r, opts.checkpoint_dir);
         ++report.executed;
         dir.publishResult(dist, r);
-        if (dir.options().progress) {
-            std::lock_guard<std::mutex> lock(progress_mutex);
-            dir.options().progress(r, ++local_done, 0);
-        }
+        if (opts.progress)
+            opts.progress(r, report.executed, 0);
     }
 }
 
@@ -813,24 +689,17 @@ runDistributed(const std::vector<Job>& jobs, const DistOptions& opts,
         return results;
 
     // Cache pass first, exactly like the thread-pool Runner: only
-    // misses are materialized into claim files.
+    // misses are materialized into job files.
     std::vector<std::size_t> pending;
-    pending.reserve(jobs.size());
+    std::vector<Job> work;
     for (std::size_t i = 0; i < jobs.size(); ++i) {
         if (cache && cache->lookup(jobs[i], results[i]))
             continue;
         pending.push_back(i);
+        work.push_back(jobs[i]);
     }
     if (pending.empty())
         return results; // fully cached: never touch the jobs dir
-    std::vector<Job> work;
-    work.reserve(pending.size());
-    for (const std::size_t i : pending) {
-        work.push_back(jobs[i]);
-        work.back().index = work.size() - 1;
-    }
-    // Job files carry the *work-list* index so a resumed orchestrator
-    // with the same cache state maps names identically.
 
     JobsDir coordinator(opts);
     coordinator.clearStop();
@@ -839,38 +708,40 @@ runDistributed(const std::vector<Job>& jobs, const DistOptions& opts,
     // In-process lanes: the orchestrator is itself a worker fleet of
     // size opts.lanes, so a run with no external workers degrades to
     // a plain multi-threaded sweep over the same protocol.
+    std::mutex progress_mutex;
+    std::size_t local_done = 0;
+    DistOptions lane_opts = opts;
+    if (opts.progress)
+        lane_opts.progress = [&](const JobResult& r, std::size_t,
+                                 std::size_t) {
+            std::lock_guard<std::mutex> lock(progress_mutex);
+            opts.progress(r, ++local_done, work.size());
+        };
     std::vector<std::thread> lanes;
-    for (unsigned lane = 0; lane < opts.lanes; ++lane) {
-        DistOptions lane_opts = opts;
-        lane_opts.worker_id = coordinator.workerId() + "-lane" +
-                              std::to_string(lane);
-        lanes.emplace_back([lane_opts, &work] {
-            runDistWorker(lane_opts, &work);
-        });
-    }
+    for (unsigned lane = 0; lane < opts.lanes; ++lane)
+        lanes.emplace_back(
+            [&lane_opts, &work] { runDistWorker(lane_opts, &work); });
 
-    // Coordinator wait loop: reclaim expired leases and quarantine
-    // partial files until every job is terminal. The lanes do the
-    // same from inside their claim loops; this loop matters when
-    // lanes == 0 or when external workers crash after the local
-    // lanes have finished their share.
+    // Coordinator wait loop. It claims nothing, but its passes
+    // abandon jobs whose last claim went stale — which matters when
+    // lanes == 0 or every worker that could observe them is gone.
+    const auto observe_only = [](const DistJob&) { return false; };
     while (!coordinator.status().complete()) {
-        coordinator.reclaimExpired();
-        coordinator.quarantinePartials();
-        sleepFor(opts.poll_s);
+        DistJob unused;
+        coordinator.claimNext(unused, observe_only);
+        sleepFor(pollSeconds(opts));
     }
     coordinator.requestStop(); // let external workers exit promptly
     for (auto& lane : lanes)
         lane.join();
 
-    // Merge the terminal records back into sweep order and persist
+    // Merge the result records back into sweep order and persist
     // fresh verified-Ok results, so a later single-host run replays
     // the distributed results byte for byte from the cache.
     const std::vector<JobResult> merged = coordinator.merge(work);
     for (std::size_t w = 0; w < pending.size(); ++w) {
         const std::size_t i = pending[w];
         results[i] = merged[w];
-        results[i].index = jobs[i].index;
         if (cache)
             cache->store(jobs[i], results[i]);
     }

@@ -3,60 +3,56 @@
  * Distributed sweep execution over a shared-directory job-file
  * protocol.
  *
- * An orchestrator materializes a sweep's jobs into one *claim file*
- * each under a jobs directory (local disk for multi-process runs, a
- * shared NFS export for multi-host runs). Worker processes — the
- * same `eve_sweep` binary started with `--worker --jobs-dir DIR` —
- * claim jobs by atomically rename(2)-ing the claim file, renew a
- * lease file while simulating, and publish results through
- * fsync-and-rename, so every protocol transition is a single atomic
- * filesystem operation and a reader can never observe a torn state.
+ * An orchestrator writes a sweep's jobs into a jobs directory (local
+ * disk for multi-process runs, a shared NFS export for multi-host
+ * runs). Worker processes — the same `eve_sweep` binary started with
+ * `--worker --jobs-dir DIR` — claim a job by creating a claim file
+ * with O_CREAT|O_EXCL, keep the claim alive by rewriting it while
+ * they simulate, and publish the result through fsync-and-rename.
+ * Each protocol file is written only by the actor that created it,
+ * and each job's state is read off which files exist, so no two
+ * actors ever race on one file.
  *
- * Directory layout (all under the jobs dir):
+ * Directory layout (KEY is the job's content key, exp/cache.hh):
  *
- *   manifest.txt        protocol version, salt, job count, grid hash;
- *                       written last, so its presence means the
- *                       materialization is complete
- *   pending/job-N.job   unclaimed jobs (key=value lines)
- *   claimed/job-N.job   claimed jobs (renamed from pending/)
- *   leases/job-N.lease  heartbeat: "<worker-id> <seq>", rewritten
- *                       every heartbeat period while the job runs
- *   done/job-N.json     verified-Ok result records (resultToJson)
- *   failed/job-N.json   deterministic failures (threw / mismatched)
- *   quarantine/         jobs that exhausted their retry budget, and
- *                       partial `*.tmp` result files left by writers
- *                       that died mid-write
- *   stop                drop this file to make every worker exit
+ *   manifest.txt     protocol version, salt, distinct-key count and
+ *                    grid hash; written last, so its presence means
+ *                    every job file exists
+ *   jobs/KEY.job     the job (key=value lines); written once, never
+ *                    changed
+ *   claims/KEY.N     claim N of the job, N < kMaxClaims; created with
+ *                    O_CREAT|O_EXCL, holds "<owner> <seq>", rewritten
+ *                    by its creator's heartbeat every lease/10, and
+ *                    never renamed or removed
+ *   done/KEY.json    verified-Ok result record (resultToJson)
+ *   failed/KEY.json  deterministic failure (threw / mismatched), or
+ *                    abandonment
+ *   stop             drop this file to make every worker exit
  *
- * Job state machine:
+ * Job states, derived from those files:
  *
- *   pending --claim (rename)--> claimed --lease renewed--> leased
- *   leased --Ok/Mismatch/Failed result--> done | failed   (terminal)
- *   leased --lease expires--> pending (attempts+1)
- *   leased --lease expires, attempts >= max--> quarantined (terminal)
+ *   finished   done/KEY.json or failed/KEY.json exists
+ *   claimable  unfinished, and either unclaimed or its newest claim
+ *              has not changed for the lease timeout; of the actors
+ *              racing to create the next claim exactly one wins
+ *   abandoned  claim kMaxClaims-1 went stale too: the observer writes
+ *              failed/KEY.json, so a job that kills every worker that
+ *              runs it ends the sweep instead of looping
+ *   complete   every job of the manifest is finished
  *
- * Crash safety and liveness:
+ * Staleness is judged content-locally: each observer tracks a claim's
+ * content against its own monotonic clock, so clock skew between NFS
+ * clients cannot cause a false takeover. A hung worker whose claim
+ * went stale may still publish after the job ran elsewhere; both runs
+ * of a deterministic job carry the same payload, so execution is
+ * at-least-once and the merged result set holds one record per key.
+ * Temp files of writers that died mid-write (`*.tmp`) are ignored by
+ * every reader.
  *
- *  - Claims are exclusive because rename(2) of one source succeeds in
- *    exactly one racing process (the loser sees ENOENT).
- *  - Lease freshness is judged *content-locally*: every observer
- *    tracks each lease's content and its own monotonic clock, and
- *    declares expiry only after the content has not changed for the
- *    lease timeout. No cross-host clock comparison is involved, so
- *    clock skew between NFS clients cannot cause false reclaims.
- *  - A worker that dies between publishing its result and releasing
- *    its claim is detected by reclaim (result file already present)
- *    and merely cleaned up, not re-run.
- *  - A hung worker whose job was reclaimed and re-run elsewhere may
- *    eventually publish a duplicate result; both records carry the
- *    identical deterministic payload and the terminal rename just
- *    replaces one with the other. Execution is at-least-once; the
- *    merged result set is exactly-once (one record per job index).
- *  - Every job file carries the job's content key (exp/cache.hh). A
- *    worker rebuilds the job from the file alone and recomputes the
- *    key; a mismatch (diverged binary, different simulator salt)
- *    makes the worker leave the job for someone else rather than
- *    publish wrong-version numbers.
+ * Every job file carries the job's content key. A spec-less worker
+ * rebuilds the job from the file alone and recomputes the key; a
+ * worker never claims a job it cannot run (diverged binary, another
+ * simulator salt, a custom executor), so no claim is ever given back.
  *
  * The orchestrator degrades gracefully to a single-process run: by
  * default it executes jobs through its own in-process lanes (thread
@@ -71,6 +67,7 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <mutex>
 #include <string>
@@ -84,41 +81,33 @@ namespace eve::exp
 {
 
 /**
- * Bumped whenever the on-disk protocol changes incompatibly.
- * v2: job files carry a sampling= line (interval-sampled sweeps) and
- * scale may be "paper" — v1 binaries would quarantine the job files
- * one by one, so the manifest version stops them up front instead.
+ * Bumped whenever the on-disk protocol changes incompatibly; the
+ * manifest check then refuses directories of other versions.
+ * v3: files are named by content key, claims are exclusive creates.
  */
-inline constexpr const char* kDistProtocolVersion = "eve-dist-v2";
+inline constexpr const char* kDistProtocolVersion = "eve-dist-v3";
+
+/** Claims a job may receive before it is abandoned. */
+inline constexpr unsigned kMaxClaims = 3;
 
 class ResultCache;
 
-/** Tunables shared by the orchestrator and worker entry points. */
+/** Settings shared by the orchestrator and worker entry points. */
 struct DistOptions
 {
     std::string jobs_dir;
 
-    /** Stable identity written into leases ("" = "<host>-<pid>"). */
-    std::string worker_id;
-
-    /** Seconds a lease may stay unrenewed before reclaim. */
+    /**
+     * Seconds a claim may stay unchanged before another actor takes
+     * the job over. The other timings derive from it: heartbeat
+     * lease/10, idle poll min(0.25 s, lease/10), and a worker waits
+     * 10 x lease for the manifest.
+     */
     double lease_timeout_s = 60;
-
-    /** Lease renewal period while a job runs. */
-    double heartbeat_s = 2;
-
-    /** Idle rescan period (claim loop and orchestrator wait). */
-    double poll_s = 0.25;
-
-    /** Worker: seconds to wait for the manifest to appear. */
-    double join_timeout_s = 600;
-
-    /** Claims per job before it is quarantined (>= 1). */
-    unsigned max_attempts = 3;
 
     /**
      * Orchestrator-side in-process execution lanes. 0 = coordinate
-     * only (reclaim, wait, merge) and execute nothing locally.
+     * only (wait, abandon, merge) and execute nothing locally.
      */
     unsigned lanes = 1;
 
@@ -128,15 +117,14 @@ struct DistOptions
      */
     std::string checkpoint_dir;
 
-    /** Per locally-executed job; serialized. done/total are counts
-     *  of *locally* executed jobs, not sweep-wide state. */
+    /** Per locally-executed job; serialized across lanes. done counts
+     *  *locally* executed jobs, total the jobs sent to the jobs dir. */
     ProgressFn progress;
 };
 
-/** One job-file record (the on-disk form of a claimable job). */
+/** One job file (the on-disk form of a claimable job). */
 struct DistJob
 {
-    std::size_t index = 0;
     std::string key;      ///< jobKey under kSimulatorSalt
     std::string label;
     std::string workload; ///< workload name (makeWorkload)
@@ -146,7 +134,6 @@ struct DistJob
     /** samplingCanonical text; "" = exact simulation. */
     std::string sampling;
 
-    unsigned attempts = 0;
     bool remote = false;  ///< rebuildable by spec-less workers
 };
 
@@ -166,20 +153,19 @@ bool parseDistJob(const std::string& text, DistJob& out);
  */
 bool rebuildJob(const DistJob& dist, Job& out);
 
-/** Aggregate state of a jobs directory. */
+/** Aggregate state of a jobs directory, one state per job. */
 struct DistStatus
 {
-    std::size_t total = 0;       ///< manifest job count (0 = none yet)
-    std::size_t pending = 0;
-    std::size_t claimed = 0;
+    std::size_t total = 0;   ///< manifest job count (0 = none yet)
+    std::size_t pending = 0; ///< unfinished, never claimed
+    std::size_t claimed = 0; ///< unfinished, claimed (live or stale)
     std::size_t done = 0;
-    std::size_t failed = 0;
-    std::size_t quarantined = 0; ///< quarantined jobs (not tmp files)
+    std::size_t failed = 0;  ///< failed or abandoned
 
     bool
     complete() const
     {
-        return total > 0 && done + failed + quarantined >= total;
+        return total > 0 && done + failed >= total;
     }
 };
 
@@ -189,38 +175,40 @@ std::string formatDistStatus(const DistStatus& s);
 /**
  * Cooperative process-wide stop for worker loops, settable from a
  * signal handler (a relaxed atomic store, async-signal-safe). A
- * worker that observes it finishes and publishes its in-flight job,
- * releases nothing mid-protocol, and returns with stopped=true —
- * Ctrl-C costs nothing instead of a lease timeout.
+ * worker that observes it finishes and publishes its in-flight job
+ * and returns with stopped=true — Ctrl-C costs nothing instead of a
+ * lease timeout.
  */
 void requestWorkerStop();
 bool workerStopRequested();
 
 /**
- * Protocol handle over one jobs directory. Each concurrent actor
- * (worker process, orchestrator lane) uses its own JobsDir; a single
- * instance may hold several claims at once, and one background
- * heartbeat thread renews all of its leases.
+ * Protocol handle over one jobs directory: one *actor*, named
+ * `<host>-<pid>-<n>` where n counts the actors of this process. Each
+ * concurrent actor (worker process, orchestrator lane) uses its own
+ * JobsDir; one background heartbeat thread rewrites all of its
+ * claims.
  */
 class JobsDir
 {
   public:
+    /** Whether this actor can run a job (see claimNext()). */
+    using CanRun = std::function<bool(const DistJob&)>;
+
     explicit JobsDir(DistOptions options);
     ~JobsDir();
 
     JobsDir(const JobsDir&) = delete;
     JobsDir& operator=(const JobsDir&) = delete;
 
-    const DistOptions& options() const { return opts; }
-    const std::string& workerId() const { return worker_id; }
+    const std::string& owner() const { return owner_name; }
 
     /**
-     * Orchestrator: create the directory tree, write one pending
-     * claim file per job not already present in any state (so a
-     * re-run over a partially completed directory resumes instead of
-     * duplicating), then write the manifest. Fatal if the directory
-     * holds a different sweep: a manifest whose grid, protocol
-     * version or simulator salt differs.
+     * Orchestrator: create the directory tree, write the job file of
+     * every distinct key that has none (so a re-run over a partially
+     * completed directory resumes), then write the manifest if absent.
+     * Fatal if the directory holds a different sweep: a manifest
+     * whose grid, protocol version or simulator salt differs.
      */
     void materialize(const std::vector<Job>& jobs);
 
@@ -230,7 +218,7 @@ class JobsDir
      */
     DistStatus manifest() const;
 
-    /** Scan every state directory and count. */
+    /** Read every job's state off which files exist. */
     DistStatus status() const;
 
     /** True when the stop marker exists. */
@@ -241,71 +229,28 @@ class JobsDir
     void clearStop();
 
     /**
-     * Try to claim one pending job: atomically rename its claim file
-     * into claimed/, write the first lease, and start heartbeating
-     * it. Jobs named in @p skip are not attempted (a worker's own
-     * unrebuildable set). Returns false when nothing was claimable.
+     * One pass over the unfinished jobs. Each is offered to
+     * @p can_run (empty = run anything); the first claimable one it
+     * accepts is claimed by creating its next claim file, heartbeat
+     * included, and returned in @p out. Jobs whose last claim went
+     * stale are abandoned along the way. Returns false when nothing
+     * was claimed.
      */
-    bool claimNext(DistJob& out,
-                   const std::vector<std::string>& skip = {});
+    bool claimNext(DistJob& out, const CanRun& can_run = {});
 
     /**
      * Publish the result of a claimed job — done/ for verified-Ok,
-     * failed/ for deterministic Mismatch/Failed — then release the
-     * claim and stop its heartbeat.
+     * failed/ for deterministic Mismatch/Failed — unless that record
+     * already exists, then stop heartbeating the claim.
      */
     void publishResult(const DistJob& job, const JobResult& r);
 
     /**
-     * Give a claim back (rename claimed -> pending, without an
-     * attempt bump) and stop its heartbeat. Used when a worker
-     * cannot run a job it claimed (rebuild refused).
-     */
-    void abandonClaim(const DistJob& job);
-
-    /**
-     * Reclaim pass, callable from any process, any number of times:
-     * claimed jobs whose lease content has not changed for the lease
-     * timeout (on this observer's monotonic clock) go back to
-     * pending with attempts+1, or to quarantine/ once attempts
-     * reaches max_attempts; claims whose result was already
-     * published are cleaned up. Returns the number of transitions.
-     */
-    std::size_t reclaimExpired();
-
-    /**
-     * Quarantine `*.tmp` result files that have not grown or changed
-     * for the lease timeout — the leftovers of a result writer that
-     * died mid-write. Returns the number quarantined.
-     */
-    std::size_t quarantinePartials();
-
-    /**
-     * Assemble index-ordered results for @p jobs from the terminal
-     * directories: done/failed records are parsed back (payload from
-     * the record, identity from the in-memory job), quarantined jobs
-     * become Failed with a descriptive error, and jobs with no
-     * terminal file stay Skipped.
+     * Assemble results for @p jobs from the result records: payload
+     * from the record, identity from the in-memory job. Jobs with no
+     * record stay Skipped.
      */
     std::vector<JobResult> merge(const std::vector<Job>& jobs) const;
-
-    std::string pendingDir() const { return opts.jobs_dir + "/pending"; }
-    std::string claimedDir() const { return opts.jobs_dir + "/claimed"; }
-    std::string leaseDir() const { return opts.jobs_dir + "/leases"; }
-    std::string doneDir() const { return opts.jobs_dir + "/done"; }
-    std::string failedDir() const { return opts.jobs_dir + "/failed"; }
-    std::string quarantineDir() const
-    {
-        return opts.jobs_dir + "/quarantine";
-    }
-    std::string manifestPath() const
-    {
-        return opts.jobs_dir + "/manifest.txt";
-    }
-    std::string stopPath() const { return opts.jobs_dir + "/stop"; }
-
-    /** "job-000042" for index 42 (stable sort order to 10^6 jobs). */
-    static std::string jobName(std::size_t index);
 
   private:
     struct Observation
@@ -314,25 +259,38 @@ class JobsDir
         std::chrono::steady_clock::time_point first_seen;
     };
 
-    void writeLease(const std::string& name);
-    void releaseClaim(const std::string& name);
-    void startHeartbeat();
+    struct HeldClaim
+    {
+        std::string path;
+        std::uint64_t seq = 0;
+    };
+
+    std::string at(const std::string& rel) const
+    {
+        return opts.jobs_dir + "/" + rel;
+    }
+
+    /** The job files, read once (they never change). */
+    const std::vector<DistJob>& jobFiles();
+
+    void abandon(const DistJob& job, const std::string& last_claim);
     void heartbeatLoop();
 
-    /** Stale-for-timeout check against this observer's clock. */
+    /** Unchanged-for-the-lease check against this observer's clock. */
     bool observeStale(const std::string& path,
                       const std::string& content);
 
     DistOptions opts;
-    std::string worker_id;
+    std::string owner_name;
+    std::vector<DistJob> job_files;
 
     std::mutex hb_mutex;
     std::condition_variable hb_cv;
-    std::map<std::string, std::uint64_t> held; ///< lease name -> seq
-    std::thread hb_thread;
+    std::map<std::string, HeldClaim> held; ///< key -> live claim
     bool hb_stop = false;
+    std::thread hb_thread;
 
-    /** Lease/tmp-file content observations for staleness tracking. */
+    /** Claim content observations for staleness tracking. */
     std::map<std::string, Observation> observed;
 };
 
@@ -340,19 +298,16 @@ class JobsDir
 struct WorkerReport
 {
     std::size_t executed = 0;     ///< jobs simulated locally
-    std::size_t reclaimed = 0;    ///< lease-expiry transitions
-    std::size_t quarantined = 0;  ///< partial files quarantined
-    std::size_t unrebuildable = 0;///< claims refused (key mismatch…)
+    std::size_t unrebuildable = 0;///< jobs refused (key mismatch…)
     bool stopped = false;         ///< exited on stop marker/flag
     bool joined = true;           ///< manifest appeared in time
 };
 
 /**
  * The worker claim loop: wait for the manifest, then claim and
- * execute jobs until the sweep is complete (every job terminal) or
- * stop is requested, reclaiming expired leases and quarantining
- * partial files along the way. @p local_jobs, when given, maps job
- * indices to in-memory Jobs (orchestrator lanes; required for
+ * execute jobs until the sweep is complete, nothing left is runnable
+ * here, or stop is requested. @p local_jobs, when given, supplies
+ * in-memory Jobs by content key (orchestrator lanes; required for
  * local-only jobs) — otherwise jobs are rebuilt from their files.
  */
 WorkerReport runDistWorker(const DistOptions& opts,
@@ -362,11 +317,11 @@ WorkerReport runDistWorker(const DistOptions& opts,
  * Orchestrate @p jobs through @p opts.jobs_dir: serve cache hits
  * first (exactly like the thread-pool Runner), materialize the
  * misses, execute through opts.lanes in-process lanes alongside any
- * external workers, wait for completion (reclaiming as needed),
- * merge, and store fresh verified-Ok results into @p cache. Results
- * are index-ordered and — by the determinism of the simulator and
- * the byte-exact record round trip — carry payloads byte-identical
- * to a single-host run of the same sweep.
+ * external workers, wait for completion, merge, and store fresh
+ * verified-Ok results into @p cache. Results are index-ordered and —
+ * by the determinism of the simulator and the byte-exact record
+ * round trip — carry payloads byte-identical to a single-host run of
+ * the same sweep.
  */
 std::vector<JobResult> runDistributed(const std::vector<Job>& jobs,
                                       const DistOptions& opts,

@@ -20,8 +20,12 @@
  *
  * Each period's tail warmup primes the *next* period's measured
  * window, and the first window measures from simulation start — so a
- * stream shorter than one period is simply simulated in full detail
- * and the "extrapolation" is exact. At each fast-forward -> detailed
+ * stream no longer than one interval is simulated in full detail and
+ * the "extrapolation" is exact. A stream that ends after its first
+ * interval but inside the first period is not: its first interval is
+ * measured and scaled up like any other sample (under schedule
+ * 100,20,4 the 150-record small pathfinder stream extrapolates one
+ * 100-record window). At each fast-forward -> detailed
  * boundary the WarmupFilter's recency image is installed into the
  * cache hierarchy (coldest line first, so the final LRU order
  * matches recency), then the warmup records run through the timing
@@ -208,8 +212,10 @@ struct SampleStats
 
 /**
  * est_total_ticks = measured_ticks * total / measured. Falls back to
- * @p exact_final_tick (the model's frontier after finish()) when
- * nothing was measured — a stream shorter than one period.
+ * @p exact_final_tick (the model's frontier after finish()) only when
+ * nothing was measured: an empty stream, or measured windows that
+ * advanced no ticks. Any non-empty stream measures its first
+ * interval, so a stream shorter than one period is extrapolated too.
  */
 double extrapolatedTicks(const SampleStats& stats,
                          double exact_final_tick);

@@ -2,19 +2,26 @@
  * @file
  * Unit tests for the common substrate: bit utilities, the
  * deterministic RNG, statistics, the JSON parser, logging helpers,
- * and clock domains.
+ * clock domains, and atomic file writes.
  */
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdarg>
+#include <filesystem>
+#include <thread>
+#include <vector>
 
 #include "common/bits.hh"
+#include "common/fs.hh"
 #include "common/json.hh"
 #include "common/log.hh"
 #include "common/rng.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
+
+#include "test_util.hh"
 
 namespace eve
 {
@@ -234,6 +241,41 @@ TEST(ClockDomain, Conversions)
     EXPECT_EQ(clk.toCycles(1025), Cycles{1});
     EXPECT_EQ(clk.toCycles(1026), Cycles{2});  // rounds up
     EXPECT_DOUBLE_EQ(clk.periodNs(), 1.025);
+}
+
+TEST(AtomicWrite, ConcurrentWritersOfOnePathAllSucceed)
+{
+    // Threads of one process writing one path (two sampled jobs
+    // saving one checkpoint, two lanes publishing one key) must each
+    // get their own temp file: a shared one is renamed away under the
+    // other writer.
+    const std::string dir = test::freshDir("atomic_write_race");
+    const std::string path = dir + "/shared.txt";
+    std::atomic<unsigned> failures{0};
+    std::vector<std::thread> writers;
+    for (unsigned t = 0; t < 4; ++t) {
+        writers.emplace_back([&, t] {
+            const std::string content =
+                "writer " + std::to_string(t) + "\n";
+            for (unsigned i = 0; i < 200; ++i)
+                failures += !tryAtomicWriteFile(path, content, nullptr);
+        });
+    }
+    for (auto& w : writers)
+        w.join();
+    EXPECT_EQ(failures.load(), 0u);
+
+    // The target holds one writer's whole content, and no temp file
+    // is left behind.
+    std::string text;
+    ASSERT_TRUE(readFile(path, text));
+    EXPECT_EQ(text.rfind("writer ", 0), 0u);
+    std::size_t files = 0;
+    for (const auto& e : std::filesystem::directory_iterator(dir)) {
+        ++files;
+        EXPECT_EQ(e.path().filename(), "shared.txt");
+    }
+    EXPECT_EQ(files, 1u);
 }
 
 } // namespace

@@ -3,8 +3,8 @@
  * Interval-sampling and checkpoint tests: schedule canonicalization,
  * warmup-filter bookkeeping, sampled-run determinism, the
  * extrapolation error bound, sampled == exact when one window covers
- * the stream, checkpoint save/restore byte-identity, and salt-skew
- * quarantine.
+ * the stream, checkpoint save/restore byte-identity (also when two
+ * jobs save one checkpoint at once), and salt-skew quarantine.
  */
 
 #include <gtest/gtest.h>
@@ -276,6 +276,39 @@ TEST(Checkpoint, ColdRunSavesWarmRunRestoresByteIdentically)
     // serialized record, because RunResult::checkpoint is never
     // serialized.
     EXPECT_EQ(resultToJson(cold, false), resultToJson(warm, false));
+}
+
+TEST(Checkpoint, ConcurrentJobsSharingASnapshotBothSave)
+{
+    // Two jobs that differ only in a timing knob share one
+    // functional checkpoint identity; on a two-thread pool both run
+    // cold and save it at the same moment.
+    const std::string dir = freshDir("ckpt_concurrent");
+    SweepSpec spec;
+    SystemConfig cfg;
+    cfg.kind = SystemKind::O3EVE;
+    cfg.eve_pf = 8;
+    spec.system(cfg);
+    spec.axis<unsigned>("llc_mshrs", {16, 32},
+                        [](SystemConfig& c, unsigned m) {
+                            c.llc_mshrs = m;
+                        });
+    spec.workloads({"mmult"}, std::string("small"));
+    spec.sampling(testSchedule());
+
+    RunnerOptions opts;
+    opts.threads = 2;
+    opts.checkpoint_dir = dir;
+    for (const auto& r : Runner(opts).run(spec.jobs()))
+        EXPECT_EQ(r.status, JobStatus::Ok) << r.label << ": " << r.error;
+
+    // One checkpoint, and no temp file left behind.
+    std::size_t files = 0;
+    for (const auto& e : std::filesystem::directory_iterator(dir)) {
+        ++files;
+        EXPECT_EQ(e.path().extension(), ".ckpt") << e.path();
+    }
+    EXPECT_EQ(files, 1u);
 }
 
 TEST(Checkpoint, ExactRunsIgnoreTheCheckpointDir)

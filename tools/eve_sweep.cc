@@ -9,11 +9,11 @@
  *             --json out.jsonl --csv out.csv
  *
  * With --jobs-dir the same sweep runs over the distributed job-file
- * protocol (exp/dist.hh): the orchestrator materializes claim files
- * under the directory and executes through in-process lanes, while
- * any number of `eve_sweep --worker --jobs-dir DIR` processes — on
- * this host or on others sharing the directory — claim and run jobs
- * alongside it.
+ * protocol (exp/dist.hh): the orchestrator writes one job file per
+ * content key under the directory and executes through in-process
+ * lanes, while any number of `eve_sweep --worker --jobs-dir DIR`
+ * processes — on this host or on others sharing the directory —
+ * claim and run jobs alongside it.
  *
  * Flags:
  *   --systems   IO,O3,O3IV,O3DV,O3EVE   (default O3EVE)
@@ -78,18 +78,16 @@
  *               signal kills it immediately.
  *   --status    print the jobs directory's state (plus this binary's
  *               version and simulator salt) and exit: 0 when the
- *               sweep is complete, 2 when quarantined jobs need an
- *               operator, 1 otherwise
+ *               sweep is complete, 2 when a job failed or was
+ *               abandoned, 1 otherwise
  *   --stop      ask every worker on --jobs-dir to exit, then exit
  *   --orchestrate-only  orchestrate with zero local execution lanes
- *               (claim files + reclaim + merge only)
- *   --worker-id ID      stable lease identity (default <host>-<pid>)
- *   --lease-timeout SEC seconds before an unrenewed lease is
- *               reclaimed (default 60)
- *   --heartbeat SEC     lease renewal period (default 2)
- *   --poll SEC          idle rescan period (default 0.25)
- *   --join-timeout SEC  worker wait for the manifest (default 600)
- *   --max-attempts N    claims per job before quarantine (default 3)
+ *               (job files + wait + merge only)
+ *   --lease-timeout SEC seconds a claim may stay unchanged before
+ *               another process takes the job over (default 60). The
+ *               heartbeat is a tenth of it, the idle poll a tenth
+ *               but at most 0.25 s, and a worker waits ten leases
+ *               for the manifest; a job is abandoned after 3 claims.
  *
  * Several invocations may share one --cache-dir: appends are
  * flock-serialized, so concurrent sweeps over overlapping grids each
@@ -281,19 +279,8 @@ main(int argc, char** argv)
             mode = Mode::Stop;
         } else if (flag == "--orchestrate-only") {
             orchestrate_only = true;
-        } else if (flag == "--worker-id") {
-            dist.worker_id = need(i); ++i;
         } else if (flag == "--lease-timeout") {
             dist.lease_timeout_s = parseSeconds(flag, need(i)); ++i;
-        } else if (flag == "--heartbeat") {
-            dist.heartbeat_s = parseSeconds(flag, need(i)); ++i;
-        } else if (flag == "--poll") {
-            dist.poll_s = parseSeconds(flag, need(i)); ++i;
-        } else if (flag == "--join-timeout") {
-            dist.join_timeout_s = parseSeconds(flag, need(i)); ++i;
-        } else if (flag == "--max-attempts") {
-            dist.max_attempts =
-                splitUnsigned(flag, need(i)).front(); ++i;
         } else if (flag == "--help" || flag == "-h") {
             std::printf(
                 "usage: eve_sweep [--systems LIST] [--pf LIST]\n"
@@ -306,11 +293,10 @@ main(int argc, char** argv)
                 "  [--json PATH] [--json-payload PATH] [--csv PATH]\n"
                 "  [--cache-dir PATH] [--no-cache] [--quiet]\n"
                 "  [--jobs-dir DIR [--orchestrate-only]\n"
-                "   [--lease-timeout SEC] [--max-attempts N]]\n"
+                "   [--lease-timeout SEC]]\n"
                 "       eve_sweep --worker --jobs-dir DIR\n"
-                "  [--worker-id ID] [--lease-timeout SEC]\n"
-                "  [--heartbeat SEC] [--poll SEC] [--join-timeout SEC]\n"
-                "  [--max-attempts N] [--checkpoint-dir PATH] [--quiet]\n"
+                "  [--lease-timeout SEC] [--checkpoint-dir PATH]\n"
+                "  [--quiet]\n"
                 "       eve_sweep --status --jobs-dir DIR\n"
                 "       eve_sweep --stop --jobs-dir DIR\n"
                 "\n"
@@ -328,6 +314,9 @@ main(int argc, char** argv)
                 "extension kernels (axpy, blackscholes,\n"
                 "streamcluster, particlefilter, spmv, fir, scan) are\n"
                 "available by name — see docs/WORKLOADS.md.\n"
+                "--lease-timeout is how long a claim may stay\n"
+                "unchanged before another process takes the job over\n"
+                "(default 60 s; heartbeat and poll derive from it).\n"
                 "Concurrent sweeps may share one --cache-dir; see\n"
                 "docs/OPERATIONS.md.\n");
             return 0;
@@ -367,10 +356,10 @@ main(int argc, char** argv)
         std::printf("%s\n", exp::formatDistStatus(s).c_str());
         std::printf("binary %s, simulator salt %s\n", kEveVersion,
                     exp::kSimulatorSalt);
-        if (s.quarantined > 0) {
-            std::printf("ATTENTION: %zu job(s) exhausted the retry "
-                        "budget — inspect %s/quarantine\n",
-                        s.quarantined, dist.jobs_dir.c_str());
+        if (s.failed > 0) {
+            std::printf("ATTENTION: %zu job(s) failed or were "
+                        "abandoned — inspect %s/failed\n",
+                        s.failed, dist.jobs_dir.c_str());
             return 2;
         }
         return s.complete() ? 0 : 1;
@@ -400,10 +389,8 @@ main(int argc, char** argv)
         const exp::WorkerReport report = exp::runDistWorker(dist);
         if (!quiet)
             std::fprintf(stderr,
-                         "worker: %zu executed, %zu reclaimed, %zu "
-                         "quarantined, %zu refused%s%s\n",
-                         report.executed, report.reclaimed,
-                         report.quarantined, report.unrebuildable,
+                         "worker: %zu executed, %zu refused%s%s\n",
+                         report.executed, report.unrebuildable,
                          report.stopped ? " (stopped)" : "",
                          report.joined ? "" : " (never joined)");
         return report.joined ? 0 : 1;
