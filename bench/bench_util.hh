@@ -14,6 +14,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/fs.hh"
 #include "common/log.hh"
 #include "driver/system.hh"
 #include "exp/exp.hh"
@@ -171,9 +172,11 @@ writeArtifact(const std::vector<exp::JobResult>& results,
 
 /**
  * The standard harness plumbing in one call, over an explicit job
- * list: reindex the jobs 0..N-1, wire up the optional result cache,
- * execute, die unless every job is Ok or Cached, write the JSONL
- * artifact (skipped when opts.artifact is empty), and hand back the
+ * list: reindex the jobs 0..N-1, create the artifact directory (so a
+ * missing one fails before any job runs, not after all of them),
+ * wire up the optional result cache, execute, die unless every job
+ * is Ok or Cached, write the JSONL artifact (both artifact steps are
+ * skipped when opts.artifact is empty), and hand back the
  * index-ordered results.
  *
  * When EVE_EXP_JOBS_DIR is set the jobs run over the distributed
@@ -197,6 +200,8 @@ runSweep(std::vector<exp::Job> jobs, const SweepOptions& opts = {})
         if (sampling.enabled())
             jobs[i].sampling = sampling;
     }
+    if (!opts.artifact.empty())
+        makeDirs(exp::artifactDir());
     const auto cache = envCache();
     std::vector<exp::JobResult> results;
     const std::string jobs_dir = exp::envJobsDir();

@@ -9,7 +9,6 @@
 #include "common/bits.hh"
 #include "common/log.hh"
 #include "cpu/io_core.hh"
-#include "isa/program.hh"
 #include "cpu/o3_core.hh"
 #include "sim/checkpoint.hh"
 #include "vector/dv_engine.hh"
@@ -236,67 +235,57 @@ System::hwVectorLength() const
 namespace
 {
 
-/** Rebases memory addresses before they reach a timing model. */
-class AddrBiasSink : public InstrSink
+/**
+ * The one sink System::run feeds. Per record, in this order: the
+ * counts RunResult reports; on sampled runs the schedule's step,
+ * whose boundary hook must observe the state of records [0, pos)
+ * only; the timing model, with the CMP address bias added, when the
+ * record is detailed; the WarmupFilter; and the functional machine
+ * from the restored checkpoint's position on. The machine runs last,
+ * but the timing models are pure consumers of generator-produced
+ * records, so they never miss its results.
+ */
+class RunSink final : public InstrSink
 {
   public:
-    AddrBiasSink(InstrSink& inner, Addr bias)
-        : inner(inner), bias(bias)
-    {
-    }
+    RunSink(TimingModel& model, Addr bias) : model(model), bias(bias) {}
 
     void
     consume(const Instr& instr) override
     {
-        if (isMemOp(instr.op)) {
-            Instr biased = instr;
-            biased.addr += bias;
-            inner.consume(biased);
-        } else {
-            inner.consume(instr);
+        ++instrs;
+        if (isVectorOp(instr.op)) {
+            ++vecInstrs;
+            vecElemOps +=
+                opClass(instr.op) == OpClass::VecCtrl ? 1 : instr.vl;
         }
+        if (!controller || controller->step()) {
+            if (bias != 0 && isMemOp(instr.op)) {
+                Instr biased = instr;
+                biased.addr += bias;
+                model.consume(biased);
+            } else {
+                model.consume(instr);
+            }
+        }
+        if (filter)
+            filter->observe(instr);
+        if (machine && instrs > machineFrom)
+            machine->consume(instr);
     }
 
+    std::uint64_t instrs = 0;     ///< every record
+    std::uint64_t vecInstrs = 0;  ///< vector records
+    std::uint64_t vecElemOps = 0; ///< vl per vector record, 1 if control
+
+    SamplingController* controller = nullptr; ///< sampled runs only
+    WarmupFilter* filter = nullptr;           ///< sampled runs only
+    VecMachine* machine = nullptr;            ///< vector systems only
+    std::uint64_t machineFrom = 0; ///< records the machine skips
+
   private:
-    InstrSink& inner;
+    TimingModel& model;
     Addr bias;
-};
-
-/** Forwards records from position @p from on (checkpoint skip). */
-class SkipUntilSink : public InstrSink
-{
-  public:
-    SkipUntilSink(InstrSink& inner, std::uint64_t from)
-        : inner(inner), from(from)
-    {
-    }
-
-    void
-    consume(const Instr& instr) override
-    {
-        if (pos++ >= from)
-            inner.consume(instr);
-    }
-
-  private:
-    InstrSink& inner;
-    std::uint64_t from;
-    std::uint64_t pos = 0;
-};
-
-/** Adapts a WarmupFilter to the emission tee. */
-class FilterSink : public InstrSink
-{
-  public:
-    explicit FilterSink(WarmupFilter& filter) : filter(filter) {}
-
-    void consume(const Instr& instr) override
-    {
-        filter.observe(instr);
-    }
-
-  private:
-    WarmupFilter& filter;
 };
 
 } // namespace
@@ -317,34 +306,19 @@ System::run(Workload& workload, const SimOptions& opts)
         machine =
             std::make_unique<VecMachine>(workload.memory(), hw_vl);
 
-    CountingSink counter;
-    Characterizer characterizer;
-    AddrBiasSink biased_model(*model, addrBias);
-    TeeSink tee;
-    tee.attach(&counter);
-    tee.attach(&characterizer);
+    RunSink sink(*model, addrBias);
+    sink.machine = machine.get();
 
-    // An exact run's remaining legs are the address-biased model and
-    // then the functional machine. A sampled run puts the
-    // SamplingController in the model's place, adds the WarmupFilter
-    // leg, and gates the machine behind a restored checkpoint. The
-    // machine's leg runs last: the controller's boundary hook must
-    // observe the functional state produced by records [0, pos) only,
-    // and the timing models are pure consumers of generator-produced
-    // records, so they never miss the machine's results.
+    // A sampled run steps the SamplingController ahead of the model,
+    // adds the WarmupFilter and gates the machine behind a restored
+    // checkpoint.
     std::optional<SamplingController> controller;
     std::optional<WarmupFilter> filter;
-    std::optional<FilterSink> filter_leg;
-    std::optional<SkipUntilSink> machine_gate;
     std::unique_ptr<CheckpointStore> store;
     std::string material;
     Checkpoint capture;
     bool captured = false;
-    if (!result.sampled) {
-        tee.attach(&biased_model);
-        if (machine)
-            tee.attach(machine.get());
-    } else {
+    if (result.sampled) {
         // Checkpoint identity: everything the functional state at a
         // record position depends on — the workload and its inputs,
         // the hardware vector length (it shapes the emitted stream),
@@ -378,10 +352,10 @@ System::run(Workload& workload, const SimOptions& opts)
                      workload.name().c_str(), restored.mem.size(),
                      std::size_t(workload.memory().size()));
             } else {
-                // The machine is memory's only mutator, and its leg
-                // is skipped for every record before the snapshot
-                // position — so installing the snapshot right after
-                // init() reproduces the cold run's state exactly.
+                // The machine is memory's only mutator, and it skips
+                // every record before the snapshot position — so
+                // installing the snapshot right after init()
+                // reproduces the cold run's state exactly.
                 skip = restored.position;
                 workload.memory().data() = std::move(restored.mem);
                 machine->restoreState(restored.machine);
@@ -390,8 +364,7 @@ System::run(Workload& workload, const SimOptions& opts)
         }
 
         filter.emplace(hierarchy->l1d().params().line_bytes);
-        filter_leg.emplace(*filter);
-        controller.emplace(opts.sampling, *model, biased_model);
+        controller.emplace(opts.sampling, *model);
         // Capture (overwriting) at every fast-forward -> detailed
         // boundary past what a restored snapshot already covers (the
         // hook never fires at pos 0); the final capture — the last
@@ -408,21 +381,18 @@ System::run(Workload& workload, const SimOptions& opts)
                 captured = true;
             }
         };
-        tee.attach(&*controller);
-        tee.attach(&*filter_leg);
-        if (machine) {
-            machine_gate.emplace(*machine, skip);
-            tee.attach(&*machine_gate);
-        }
+        sink.controller = &*controller;
+        sink.filter = &*filter;
+        sink.machineFrom = skip;
     }
 
     if (hw_vl == 0)
-        workload.emitScalar(tee);
+        workload.emitScalar(sink);
     else
-        workload.emitVector(tee, hw_vl);
-    result.instrs = counter.total;
-    result.vecInstrs = characterizer.vecInstrs;
-    result.vecElemOps = characterizer.vecOps;
+        workload.emitVector(sink, hw_vl);
+    result.instrs = sink.instrs;
+    result.vecInstrs = sink.vecInstrs;
+    result.vecElemOps = sink.vecElemOps;
 
     // The scalar path is timing-only; vector runs verify against the
     // functional machine's memory image.

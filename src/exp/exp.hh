@@ -74,12 +74,19 @@ envCheckpointDir()
     return (env && env[0]) ? env : "";
 }
 
+/** Artifact directory from EVE_EXP_OUT_DIR ("." by default). */
+inline std::string
+artifactDir()
+{
+    const char* env = std::getenv("EVE_EXP_OUT_DIR");
+    return (env && env[0]) ? env : ".";
+}
+
 /** "<EVE_EXP_OUT_DIR>/<name>" ("./<name>" by default). */
 inline std::string
 artifactPath(const std::string& name)
 {
-    const char* env = std::getenv("EVE_EXP_OUT_DIR");
-    std::string dir = (env && env[0]) ? env : ".";
+    std::string dir = artifactDir();
     if (dir.back() != '/')
         dir += '/';
     return dir + name;

@@ -9,12 +9,28 @@
 namespace eve
 {
 
+namespace
+{
+
+unsigned
+setCount(const CacheParams& params)
+{
+    const std::uint64_t set_bytes =
+        std::uint64_t(params.line_bytes) * params.assoc;
+    return set_bytes ? unsigned(params.size_bytes / set_bytes) : 0;
+}
+
+} // namespace
+
 Cache::Cache(const CacheParams& params, MemObject* next_level)
     : cacheParams(params),
       next(next_level),
       clock(params.clock_ns),
-      sets(unsigned(params.size_bytes /
-                    (std::uint64_t(params.line_bytes) * params.assoc))),
+      sets(setCount(params)),
+      lineShift(log2i(params.line_bytes)),
+      setShift(log2i(sets)),
+      setMask(Addr(sets) - 1),
+      bankMask(Addr(params.banks) - 1),
       liveWays(params.assoc),
       tagArray(std::size_t(sets) * params.assoc),
       validMask(sets, 0),
@@ -23,13 +39,19 @@ Cache::Cache(const CacheParams& params, MemObject* next_level)
 {
     if (!next)
         panic("cache %s: next level is null", params.name.c_str());
-    if (sets == 0 || !isPow2(sets))
-        fatal("cache %s: set count %u must be a nonzero power of two",
-              params.name.c_str(), sets);
+    if (!isPow2(params.line_bytes))
+        fatal("cache %s: line size %u bytes must be a power of two",
+              params.name.c_str(), params.line_bytes);
+    if (!isPow2(params.banks))
+        fatal("cache %s: bank count %u must be a nonzero power of two",
+              params.name.c_str(), params.banks);
     if (params.assoc == 0 || params.assoc > 16)
         fatal("cache %s: assoc %u outside [1, 16] supported by the "
               "order-encoded recency list",
               params.name.c_str(), params.assoc);
+    if (!isPow2(sets))
+        fatal("cache %s: set count %u must be a nonzero power of two",
+              params.name.c_str(), sets);
     // Recency starts as way order: nibble p holds way p.
     std::uint64_t order = 0;
     for (unsigned w = 0; w < params.assoc; ++w)
@@ -108,7 +130,7 @@ Cache::access(Addr addr, bool is_write, Tick t)
 
     // Bank conflict: the bank serving this line is pipelined but can
     // start only one access per cycle.
-    PipelinedUnits& bank = bankPorts[line % bankPorts.size()];
+    PipelinedUnits& bank = bankPorts[line & bankMask];
     const Tick start = bank.acquire(t, clock.period());
     const Tick hit_done = start + clock.toTicks(cacheParams.hit_latency);
 
@@ -150,9 +172,7 @@ Cache::access(Addr addr, bool is_write, Tick t)
     const unsigned victim = victimWay(set);
     Line& entry = setBase(set)[victim];
     if (entry.valid && entry.dirty) {
-        const Addr victim_line = entry.tag * sets + set;
-        next->access(victim_line * cacheParams.line_bytes, true,
-                     grant);
+        next->access(lineBase(entry.tag, set), true, grant);
         statGroup.add(statWritebacks, 1);
     }
 
@@ -186,13 +206,12 @@ Cache::prefetchLine(Addr line, Tick t)
     if (findWay(set, tag) >= 0)
         return;
     statGroup.add(statPrefetches, 1);
-    const Tick fill = next->access(line * cacheParams.line_bytes,
-                                   false, t) + clock.period();
+    const Tick fill = next->access(lineBase(line), false, t) +
+                      clock.period();
     const unsigned victim = victimWay(set);
     Line& entry = setBase(set)[victim];
     if (entry.valid && entry.dirty) {
-        const Addr victim_line = entry.tag * sets + set;
-        next->access(victim_line * cacheParams.line_bytes, true, t);
+        next->access(lineBase(entry.tag, set), true, t);
         statGroup.add(statWritebacks, 1);
     }
     entry.valid = true;

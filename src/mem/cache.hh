@@ -14,19 +14,23 @@
  * as an ephemeral vector engine (Section V-E of the paper).
  *
  * Hot-path layout (see DESIGN.md "Hot-path invariants & timing
- * parity"): the tag array is one flat vector indexed [set * assoc +
- * way]; recency is order-encoded per set (a packed nibble list,
- * LRU -> MRU) next to a valid-way bitmask, so victim selection reads
- * two words instead of scanning per-line 64-bit timestamps; and the
- * in-flight-fill (MSHR) state lives *in the line itself* — each tag
- * entry carries the tick its fill completes. A fill tick is only
- * meaningful while it is in the future of the line's bank clock, a
- * line's bank never changes, and the line's eviction overwrites the
- * state, so the side table the fill ticks used to live in (and the
- * bounded-size prune that kept it from growing without bound on
- * decoupled-engine streams — the O3/DV per-miss pathology) is gone
- * entirely. None of this changes a simulated cycle — the structures
- * are behaviourally identical to what they replaced.
+ * parity"): line size, set count and bank count are powers of two,
+ * so a lookup splits an address into line, set, tag and bank with
+ * shifts and masks, and victim, write-back and prefetch addresses are
+ * rebuilt the same way; the tag array is one flat vector indexed
+ * [set * assoc + way]; recency is order-encoded per set (a packed
+ * nibble list, LRU -> MRU) next to a valid-way bitmask, so victim
+ * selection reads two words instead of scanning per-line 64-bit
+ * timestamps; and the in-flight-fill (MSHR) state lives *in the line
+ * itself* — each tag entry carries the tick its fill completes. A
+ * fill tick is only meaningful while it is in the future of the
+ * line's bank clock, a line's bank never changes, and the line's
+ * eviction overwrites the state, so the side table the fill ticks
+ * used to live in (and the bounded-size prune that kept it from
+ * growing without bound on decoupled-engine streams — the O3/DV
+ * per-miss pathology) is gone entirely. None of this changes a
+ * simulated cycle — the structures are behaviourally identical to
+ * what they replaced.
  */
 
 #ifndef EVE_MEM_CACHE_HH
@@ -49,7 +53,9 @@ struct CacheParams
     std::string name = "cache";
     std::uint64_t size_bytes = 32 * 1024;
     unsigned assoc = 4;
+    /** A power of two, as is the set count: lookups shift and mask. */
     unsigned line_bytes = 64;
+    /** A nonzero power of two: a line's bank is its low line bits. */
     unsigned banks = 1;
     Cycles hit_latency = 1;   ///< in cycles of @ref clock
     unsigned mshrs = 16;
@@ -130,9 +136,17 @@ class Cache : public MemObject
         bool dirty = false;
     };
 
-    Addr lineAddr(Addr addr) const { return addr / cacheParams.line_bytes; }
-    unsigned setIndex(Addr line) const { return unsigned(line % sets); }
-    Addr tagOf(Addr line) const { return line / sets; }
+    Addr lineAddr(Addr addr) const { return addr >> lineShift; }
+    unsigned setIndex(Addr line) const { return unsigned(line & setMask); }
+    Addr tagOf(Addr line) const { return line >> setShift; }
+    /** Byte address of line number @p line. */
+    Addr lineBase(Addr line) const { return line << lineShift; }
+    /** Byte address of the line holding @p tag in @p set. */
+    Addr
+    lineBase(Addr tag, unsigned set) const
+    {
+        return lineBase((tag << setShift) | set);
+    }
 
     Line* setBase(unsigned set) { return &tagArray[std::size_t(set) * cacheParams.assoc]; }
     const Line* setBase(unsigned set) const { return &tagArray[std::size_t(set) * cacheParams.assoc]; }
@@ -154,6 +168,10 @@ class Cache : public MemObject
     ClockDomain clock;
 
     unsigned sets;
+    unsigned lineShift;   ///< log2(line_bytes)
+    unsigned setShift;    ///< log2(sets)
+    Addr setMask;         ///< sets - 1
+    Addr bankMask;        ///< banks - 1
     unsigned liveWays;
     std::vector<Line> tagArray;          ///< flat, [set * assoc + way]
 

@@ -10,9 +10,9 @@ PipelinedUnits::PipelinedUnits(unsigned count)
 {
 }
 
-TokenPool::TokenPool(unsigned count) : capacity(std::max(count, 1u))
+TokenPool::TokenPool(unsigned count)
+    : capacity(std::max(count, 1u)), busy(2 * std::size_t(capacity))
 {
-    busy.reserve(capacity + 1);
 }
 
 } // namespace eve

@@ -12,22 +12,22 @@
  * bandwidth and finite miss-level parallelism.
  *
  * Both primitives keep their occupancy in small flat arrays that
- * never reallocate after construction: PipelinedUnits holds its
- * per-unit free ticks sorted ascending (the earliest-free unit is
- * always the front, and the common single-unit case — every cache
- * bank — is a single compare), and TokenPool keeps in-flight release
- * ticks in a binary min-heap laid out in a pre-reserved vector, so a
- * grant inspects the front and each retire is one sift-down. Grant
- * ticks are identical to the originals — see DESIGN.md "Hot-path
- * invariants & timing parity".
+ * never reallocate after construction, sorted ascending: PipelinedUnits
+ * holds its per-unit free ticks (the earliest-free unit is always the
+ * front, and the common single-unit case — every cache bank — is a
+ * single compare), and TokenPool its in-flight release ticks, so a
+ * grant inspects the front, a retire advances a head index and an
+ * insert scans from the back, which is short when releases arrive
+ * nearly in order. Grant ticks are identical to the originals — see
+ * DESIGN.md "Hot-path invariants & timing parity".
  */
 
 #ifndef EVE_SIM_RESOURCE_HH
 #define EVE_SIM_RESOURCE_HH
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "common/types.hh"
@@ -107,9 +107,7 @@ class TokenPool
     {
         const Tick grant = grantTime(t);
         retire(grant);
-        const Tick release = release_fn(grant);
-        busy.push_back(release);
-        std::push_heap(busy.begin(), busy.end(), std::greater<Tick>{});
+        insert(release_fn(grant));
         return grant;
     }
 
@@ -117,10 +115,10 @@ class TokenPool
     Tick
     grantTime(Tick t) const
     {
-        if (busy.size() < capacity)
+        if (tail - head < capacity)
             return t;
         // All tokens busy: the request waits for the earliest release.
-        return std::max(t, busy.front());
+        return std::max(t, busy[head]);
     }
 
     /** Number of tokens in flight at tick @p t. */
@@ -128,7 +126,7 @@ class TokenPool
     inFlight(Tick t)
     {
         retire(t);
-        return unsigned(busy.size());
+        return unsigned(tail - head);
     }
 
     unsigned count() const { return capacity; }
@@ -138,22 +136,40 @@ class TokenPool
     void
     retire(Tick t)
     {
-        while (!busy.empty() && busy.front() <= t) {
-            std::pop_heap(busy.begin(), busy.end(), std::greater<Tick>{});
-            busy.pop_back();
+        while (head != tail && busy[head] <= t)
+            ++head;
+    }
+
+    /** Add @p release at its sorted position, scanning from the back. */
+    void
+    insert(Tick release)
+    {
+        if (tail == busy.size()) {
+            std::copy(busy.begin() + std::ptrdiff_t(head),
+                      busy.begin() + std::ptrdiff_t(tail), busy.begin());
+            tail -= head;
+            head = 0;
         }
+        std::size_t i = tail++;
+        for (; i != head && busy[i - 1] > release; --i)
+            busy[i] = busy[i - 1];
+        busy[i] = release;
     }
 
     unsigned capacity;
     /**
-     * Release ticks of in-flight tokens, kept as a binary min-heap
-     * (front = earliest release). Every acquire retires all releases
-     * at or before its grant — when the pool is full the grant is at
-     * least the minimum release, so at least one entry drops — which
-     * bounds the size by the capacity. The vector is reserved to
-     * capacity+1 at construction and never reallocates afterwards.
+     * Release ticks of in-flight tokens in [head, tail), sorted
+     * ascending (busy[head] = earliest release). Every acquire
+     * retires all releases at or before its grant — when the pool is
+     * full the grant is at least the earliest release, so at least
+     * one entry drops — so at most capacity - 1 are live before an
+     * insert. The array holds 2 * capacity ticks: when the tail
+     * reaches the end, the live entries move back to the front, at
+     * most once per capacity inserts.
      */
     std::vector<Tick> busy;
+    std::size_t head = 0;
+    std::size_t tail = 0;
 };
 
 } // namespace eve

@@ -288,9 +288,8 @@ extrapolatedTicks(const SampleStats& stats, double exact_final_tick)
 }
 
 SamplingController::SamplingController(const SamplingConfig& cfg,
-                                       TimingModel& model,
-                                       InstrSink& model_leg)
-    : cfg(cfg), model(model), modelLeg(model_leg)
+                                       const TimingModel& model)
+    : cfg(cfg), model(model)
 {
 }
 
@@ -304,11 +303,13 @@ SamplingController::closeWindow(Tick tick_now)
 }
 
 void
-SamplingController::consume(const Instr& instr)
+SamplingController::crossEdge()
 {
-    const std::uint64_t off = pos % cfg.period();
+    const std::uint64_t period = cfg.period();
+    const std::uint64_t warm_from = period - cfg.warmup;
+    const std::uint64_t off = pos % period;
     const bool measure = off < cfg.interval;
-    const bool warm = off >= cfg.period() - cfg.warmup;
+    const bool warm = off >= warm_from;
 
     if (measure && !inMeasure) {
         inMeasure = true;
@@ -326,11 +327,16 @@ SamplingController::consume(const Instr& instr)
             if (pos != 0 && on_detail_entry)
                 on_detail_entry(pos);
         }
-        modelLeg.consume(instr);
     } else {
         inDetail = false;
     }
-    ++pos;
+
+    // Both flags hold until the next edge: the measured window's end,
+    // the warmup's start or the period's end (warm_from >= interval).
+    const std::uint64_t edge = off < cfg.interval ? cfg.interval
+                               : off < warm_from  ? warm_from
+                                                  : period;
+    nextEdge = pos + (edge - off);
 }
 
 void

@@ -221,9 +221,11 @@ double extrapolatedTicks(const SampleStats& stats,
                          double exact_final_tick);
 
 /**
- * The sampling InstrSink: sits where the timing model's leg of the
- * emission tee would be, forwards only warmup + measured records to
- * the model, and accounts measured intervals by finalTick() deltas.
+ * The sampling schedule of one run, record by record: System::run's
+ * sink calls step() once per record, before the model, the filter or
+ * the machine sees it, and forwards only the detailed (warmup +
+ * measured) records to the timing model. Measured intervals are
+ * accounted by the model's finalTick() deltas.
  *
  * The caller owns the phase side effects via on_detail_entry, fired
  * at every fast-forward -> detailed boundary *before* the boundary
@@ -231,24 +233,35 @@ double extrapolatedTicks(const SampleStats& stats,
  * uses it to install the WarmupFilter image and to capture functional
  * checkpoints (so it must observe the state produced by records
  * [0, pos), exactly).
+ *
+ * The phase only changes at three offsets of each period (the
+ * period's start, the measured window's end and the warmup's start),
+ * so step() compares the position with the next of those edges and
+ * does the period arithmetic only there.
  */
-class SamplingController : public InstrSink
+class SamplingController
 {
   public:
     /**
-     * @param cfg      enabled sampling schedule
-     * @param model    the timing model; consume() forwards detailed
-     *                 records to @p model_leg (the address-biased
-     *                 view of the same model) and reads
-     *                 model.finalTick() at window boundaries
+     * @param cfg    enabled sampling schedule
+     * @param model  the timing model; its finalTick() is read at
+     *               measured-window boundaries
      */
-    SamplingController(const SamplingConfig& cfg, TimingModel& model,
-                       InstrSink& model_leg);
+    SamplingController(const SamplingConfig& cfg,
+                       const TimingModel& model);
 
     /** Fired at each fast-forward -> detailed boundary (pos > 0). */
     std::function<void(std::uint64_t pos)> on_detail_entry;
 
-    void consume(const Instr& instr) override;
+    /** Advance past one record; true iff it is a detailed record. */
+    bool
+    step()
+    {
+        if (pos == nextEdge)
+            crossEdge();
+        ++pos;
+        return inDetail;
+    }
 
     /**
      * Close the stream: @p final_tick is the model frontier after
@@ -259,13 +272,15 @@ class SamplingController : public InstrSink
     const SampleStats& stats() const { return sampleStats; }
 
   private:
+    /** Enter the phase record @ref pos starts; find the next edge. */
+    void crossEdge();
     void closeWindow(Tick tick_now);
 
     SamplingConfig cfg;
-    TimingModel& model;
-    InstrSink& modelLeg;
+    const TimingModel& model;
 
-    std::uint64_t pos = 0;       ///< records consumed so far
+    std::uint64_t pos = 0;       ///< records stepped past so far
+    std::uint64_t nextEdge = 0;  ///< next position whose phase may differ
     bool inDetail = false;
     bool inMeasure = false;
     Tick windowTick0 = 0;

@@ -14,6 +14,8 @@
 #include "cpu/io_core.hh"
 #include "driver/system.hh"
 #include "isa/functional.hh"
+#include "mem/cache.hh"
+#include "mem/dram.hh"
 #include "workloads/workload.hh"
 
 namespace eve
@@ -84,6 +86,23 @@ TEST(FaultInjection, BadConfigurationsDie)
     EveSram sram(cfg);
     EXPECT_DEATH(sram.writeElement(5, 0, 1), "col");
     EXPECT_DEATH(sram.rowOf(60, 0), "out of range");
+}
+
+TEST(FaultInjection, CacheGeometryMustBePowersOfTwo)
+{
+    // Lookups split addresses with shifts and masks, so a line size
+    // or bank count that is not a power of two must be refused, not
+    // silently mis-indexed.
+    Dram dram(DramParams{});
+    CacheParams odd_line;
+    odd_line.line_bytes = 48;
+    EXPECT_DEATH((void)Cache(odd_line, &dram), "line size 48 bytes");
+    CacheParams three_banks;
+    three_banks.banks = 3;
+    EXPECT_DEATH((void)Cache(three_banks, &dram), "bank count 3");
+    CacheParams no_banks;
+    no_banks.banks = 0;
+    EXPECT_DEATH((void)Cache(no_banks, &dram), "bank count 0");
 }
 
 TEST(FaultInjection, VlBeyondHardwarePanics)
