@@ -1,25 +1,22 @@
 /**
  * @file
  * Figure 6: performance of every simulated system on every workload,
- * normalized to the in-order core (IO). Also prints the geometric
- * mean over the paper's geomean subset {k-means, pathfinder,
- * jacobi-2d, backprop, sw}.
+ * normalized to the in-order core (IO), with the geometric mean over
+ * the paper's geomean subset {k-means, pathfinder, jacobi-2d,
+ * backprop, sw}.
  *
- * The grid runs through the exp::Runner thread pool (one core per
- * independent simulation); results come back keyed by job index, so
- * the printed table is identical to the historical serial loop. A
- * JSON-lines artifact with the full stats maps is written next to
- * the table (EVE_EXP_OUT_DIR overrides the directory).
+ * The grid runs through the shared runSweep() plumbing (thread pool,
+ * optional result cache, and a JSON-lines artifact with the full
+ * stats maps; EVE_EXP_OUT_DIR overrides its directory). The table is
+ * report::fig6Performance of the results: the figure math eve_report
+ * applies to the artifact.
  */
 
-#include <cmath>
 #include <cstdio>
-#include <map>
-#include <set>
 
 #include "bench_util.hh"
 #include "common/log.hh"
-#include "driver/table.hh"
+#include "report/figures.hh"
 
 using namespace eve;
 
@@ -28,60 +25,14 @@ main()
 {
     setInformEnabled(false);
     const bool small = bench::smallRuns();
-    const auto systems = bench::fig6Systems();
-
-    const std::set<std::string> geomean_set = {
-        "k-means", "pathfinder", "jacobi-2d", "backprop", "sw"};
-
-    std::printf("Figure 6: speed-up over the in-order core (IO)\n");
-    std::printf("(higher is better; %s inputs)\n\n",
+    std::printf("Figure 6 (higher is better; %s inputs)\n\n",
                 small ? "small smoke-test" : "full");
 
-    const exp::SweepSpec spec = bench::fig6Sweep(small);
     bench::SweepOptions opts;
     opts.artifact = "fig6_performance.jsonl";
-    const auto results = bench::runSweep(spec, opts);
-
-    // jobs() order: systems outermost, workloads innermost.
-    const std::size_t n_workloads = spec.workloadCount();
-    auto at = [&](std::size_t sys, std::size_t wl) -> const RunResult& {
-        return results[sys * n_workloads + wl].result;
-    };
-
-    std::vector<std::string> headers = {"workload"};
-    for (const auto& cfg : systems)
-        headers.push_back(systemName(cfg));
-    TextTable table(headers);
-
-    std::map<std::string, double> geo_acc;
-    std::map<std::string, int> geo_n;
-
-    for (std::size_t wl = 0; wl < n_workloads; ++wl) {
-        const std::string& wname = results[wl].workload;
-        const double io_seconds = at(0, wl).seconds; // systems[0] is IO
-        std::vector<std::string> row = {wname};
-        for (std::size_t sys = 0; sys < systems.size(); ++sys) {
-            const RunResult& r = at(sys, wl);
-            const double speedup = io_seconds / r.seconds;
-            row.push_back(TextTable::num(speedup, 2));
-            if (geomean_set.count(wname)) {
-                geo_acc[r.system] += std::log(speedup);
-                geo_n[r.system] += 1;
-            }
-        }
-        table.addRow(row);
-    }
-
-    std::vector<std::string> geo_row = {"geomean*"};
-    for (const auto& cfg : systems) {
-        const std::string name = systemName(cfg);
-        geo_row.push_back(TextTable::num(
-            std::exp(geo_acc[name] / geo_n[name]), 2));
-    }
-    table.addRow(geo_row);
-
-    std::printf("%s\n", table.render().c_str());
-    std::printf("* geomean over {k-means, pathfinder, jacobi-2d, "
-                "backprop, sw} (the paper's subset)\n");
+    const auto results = bench::runSweep(bench::fig6Sweep(small), opts);
+    std::printf("%s",
+                report::figureText(report::fig6Performance(results))
+                    .c_str());
     return 0;
 }

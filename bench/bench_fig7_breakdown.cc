@@ -8,14 +8,15 @@
  * The grid is a SweepSpec (EVE designs x paper workloads) executed
  * through the shared runSweep() plumbing: thread-pool execution,
  * optional EVE_EXP_CACHE_DIR result cache, and a JSONL artifact with
- * the full per-job stats.
+ * the full per-job stats. The table is report::fig7Breakdown of the
+ * results: the figure math eve_report applies to the artifact.
  */
 
 #include <cstdio>
 
 #include "bench_util.hh"
 #include "common/log.hh"
-#include "driver/table.hh"
+#include "report/figures.hh"
 
 using namespace eve;
 
@@ -24,9 +25,8 @@ main()
 {
     setInformEnabled(false);
     const bool small = bench::smallRuns();
-
-    std::printf("Figure 7: EVE execution breakdown, normalized to "
-                "EVE-1 execution time\n\n");
+    std::printf("Figure 7 (%s inputs)\n\n",
+                small ? "small smoke-test" : "full");
 
     exp::SweepSpec spec;
     spec.systems(bench::eveSystems());
@@ -35,35 +35,8 @@ main()
     bench::SweepOptions opts;
     opts.artifact = "fig7_breakdown.jsonl";
     const auto results = bench::runSweep(spec, opts);
-
-    // jobs() order: systems outermost, workloads innermost.
-    const std::size_t n_workloads = spec.workloadCount();
-    const std::size_t n_systems = bench::eveSystems().size();
-    auto at = [&](std::size_t sys, std::size_t wl) -> const RunResult& {
-        return results[sys * n_workloads + wl].result;
-    };
-
-    for (std::size_t wl = 0; wl < n_workloads; ++wl) {
-        const std::string& wname = results[wl].workload;
-        TextTable table({"design", "total", "busy", "vru", "ld_mem",
-                         "st_mem", "ld_dt", "st_dt", "vmu", "empty",
-                         "dep"});
-        const double eve1_ticks = at(0, wl).total_ticks; // EVE-1 first
-        for (std::size_t sys = 0; sys < n_systems; ++sys) {
-            const exp::JobResult& jr = results[sys * n_workloads + wl];
-            const RunResult& r = jr.result;
-            const auto& b = r.breakdown;
-            auto norm = [&](double v) {
-                return TextTable::num(v / eve1_ticks, 3);
-            };
-            table.addRow({"EVE-" + std::to_string(jr.config.eve_pf),
-                          norm(r.total_ticks), norm(b.busy),
-                          norm(b.vru_stall), norm(b.ld_mem_stall),
-                          norm(b.st_mem_stall), norm(b.ld_dt_stall),
-                          norm(b.st_dt_stall), norm(b.vmu_stall),
-                          norm(b.empty_stall), norm(b.dep_stall)});
-        }
-        std::printf("%s\n%s\n", wname.c_str(), table.render().c_str());
-    }
+    std::printf("%s",
+                report::figureText(report::fig7Breakdown(results))
+                    .c_str());
     return 0;
 }

@@ -7,41 +7,29 @@
  * compute.
  *
  * The grid is a SweepSpec (EVE designs x paper workloads) executed
- * through the shared runSweep() plumbing; the stall fraction is
- * recomputed from the flattened engine stats
+ * through the shared runSweep() plumbing. The table is
+ * report::fig8VmuStalls of the results, which recomputes the stall
+ * fraction from the flattened engine stats
  * (eve.vmu_cache_stall_ticks / eve.vmu_issue_ticks) each job
- * carries, so cached results reproduce the table exactly.
+ * carries, so cached results and eve_report over the artifact
+ * reproduce it exactly.
  */
 
 #include <cstdio>
 
 #include "bench_util.hh"
 #include "common/log.hh"
-#include "driver/table.hh"
+#include "report/figures.hh"
 
 using namespace eve;
-
-namespace
-{
-
-double
-stallFraction(const RunResult& r)
-{
-    const double stall = r.stat("eve.vmu_cache_stall_ticks");
-    const double issue = r.stat("eve.vmu_issue_ticks");
-    return (stall + issue) > 0 ? stall / (stall + issue) : 0.0;
-}
-
-} // namespace
 
 int
 main()
 {
     setInformEnabled(false);
     const bool small = bench::smallRuns();
-
-    std::printf("Figure 8: VMU cache-induced stall fraction "
-                "(%% of request-issue time)\n\n");
+    std::printf("Figure 8 (%s inputs)\n\n",
+                small ? "small smoke-test" : "full");
 
     exp::SweepSpec spec;
     spec.systems(bench::eveSystems());
@@ -50,26 +38,9 @@ main()
     bench::SweepOptions opts;
     opts.artifact = "fig8_vmu_stalls.jsonl";
     const auto results = bench::runSweep(spec, opts);
-
-    const std::size_t n_workloads = spec.workloadCount();
-    const std::size_t n_systems = bench::eveSystems().size();
-
-    std::vector<std::string> headers = {"workload"};
-    for (const auto& cfg : bench::eveSystems())
-        headers.push_back("EVE-" + std::to_string(cfg.eve_pf));
-    TextTable table(headers);
-
-    // jobs() order: systems outermost, workloads innermost.
-    for (std::size_t wl = 0; wl < n_workloads; ++wl) {
-        std::vector<std::string> row = {results[wl].workload};
-        for (std::size_t sys = 0; sys < n_systems; ++sys) {
-            const RunResult& r = results[sys * n_workloads + wl].result;
-            row.push_back(
-                TextTable::num(100.0 * stallFraction(r), 1));
-        }
-        table.addRow(row);
-    }
-    std::printf("%s\n", table.render().c_str());
+    std::printf("%s",
+                report::figureText(report::fig8VmuStalls(results))
+                    .c_str());
     std::printf("Expected shape: stalls fall as the parallelization "
                 "factor grows (the hardware\nvector length halves "
                 "from EVE-8 on, halving MSHR demand); backprop stays"

@@ -139,11 +139,8 @@ envCache()
     const std::string dir = exp::envCacheDir();
     if (dir.empty())
         return nullptr;
-    auto cache = std::make_unique<exp::ResultCache>(dir);
-    const std::size_t loaded = cache->load();
-    std::fprintf(stderr, "cache: %zu entries in %s\n", loaded,
-                 cache->filePath().c_str());
-    return cache;
+    std::fprintf(stderr, "cache: %s\n", dir.c_str());
+    return std::make_unique<exp::ResultCache>(dir);
 }
 
 /** Die if any job in @p results failed or mismatched. */

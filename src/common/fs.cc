@@ -10,7 +10,6 @@
 #include <sstream>
 
 #include <fcntl.h>
-#include <sys/file.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -190,33 +189,6 @@ makeDirs(const std::string& dir)
     if (ec)
         fatal("cannot create directory '%s': %s", dir.c_str(),
               ec.message().c_str());
-}
-
-FileLock::FileLock(const std::string& path)
-{
-    fd = ::open(path.c_str(), O_RDWR | O_CREAT, 0644);
-    if (fd < 0) {
-        warn("file lock '%s': open: %s (proceeding unlocked)",
-             path.c_str(), std::strerror(errno));
-        return;
-    }
-    while (::flock(fd, LOCK_EX) != 0) {
-        if (errno == EINTR)
-            continue;
-        warn("file lock '%s': flock: %s (proceeding unlocked)",
-             path.c_str(), std::strerror(errno));
-        ::close(fd);
-        fd = -1;
-        return;
-    }
-}
-
-FileLock::~FileLock()
-{
-    if (fd >= 0) {
-        ::flock(fd, LOCK_UN);
-        ::close(fd);
-    }
 }
 
 } // namespace eve

@@ -7,15 +7,12 @@
  * (`<path>.<pid>.<n>.tmp`, a fresh name for every write), is
  * fsync'd, and is rename(2)'d over the target, so a reader can never
  * observe a torn or partial file — it sees either the old bytes or
- * the new bytes. The distributed sweep protocol additionally leans
- * on two POSIX guarantees:
- *
- *  - open(2) with O_CREAT|O_EXCL creates a file in exactly one of
- *    the processes racing to create it (the others get EEXIST) —
- *    this is the job-claim primitive;
- *  - flock(2) gives advisory whole-file mutual exclusion across
- *    processes — this serializes multi-process appends to the
- *    result-cache journal.
+ * the new bytes. That is all the result cache needs to be shared
+ * without a lock: each of its records is one file, written whole. The
+ * distributed sweep protocol additionally leans on one POSIX
+ * guarantee: open(2) with O_CREAT|O_EXCL creates a file in exactly
+ * one of the processes racing to create it (the others get EEXIST) —
+ * this is the job-claim primitive.
  */
 
 #ifndef EVE_COMMON_FS_HH
@@ -74,27 +71,6 @@ bool readFile(const std::string& path, std::string& out);
 
 /** mkdir -p; fatal on failure. */
 void makeDirs(const std::string& dir);
-
-/**
- * Advisory cross-process mutex over a lock file (flock(2), LOCK_EX).
- * Construction blocks until the lock is held; destruction releases
- * it. locked() is false only if the lock file could not be opened —
- * callers may then proceed unserialized (advisory semantics).
- */
-class FileLock
-{
-  public:
-    explicit FileLock(const std::string& path);
-    ~FileLock();
-
-    FileLock(const FileLock&) = delete;
-    FileLock& operator=(const FileLock&) = delete;
-
-    bool locked() const { return fd >= 0; }
-
-  private:
-    int fd = -1;
-};
 
 } // namespace eve
 

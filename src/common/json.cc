@@ -248,21 +248,4 @@ parseJson(const std::string& text, JsonValue& out)
     return parser.parse(out);
 }
 
-double
-jsonNumberField(const JsonValue& obj, const char* key, double fallback)
-{
-    const JsonValue* v = obj.find(key);
-    return v && v->type == JsonValue::Type::Number ? v->number
-                                                   : fallback;
-}
-
-std::string
-jsonStringField(const JsonValue& obj, const char* key,
-                const std::string& fallback)
-{
-    const JsonValue* v = obj.find(key);
-    return v && v->type == JsonValue::Type::String ? v->text
-                                                   : fallback;
-}
-
 } // namespace eve

@@ -2,11 +2,11 @@
  * @file
  * Minimal JSON value and recursive-descent parser.
  *
- * Shared by the result cache (parsing resultToJson records back) and
- * the eve_report loader (reading sweep JSONL artifacts). Object
- * members keep insertion order, so ordered payloads (axes maps, stat
- * maps) survive round trips; the serializing side lives in
- * common/stats.hh (jsonEscape, jsonNumber, statsToJson).
+ * Used by exp::parseResultJson, the one reader of resultToJson
+ * records (result cache, jobs directories, the eve_report loader).
+ * Object members keep insertion order, so ordered payloads (axes
+ * maps, stat maps) survive round trips; the serializing side lives
+ * in common/stats.hh (jsonEscape, jsonNumber, statsToJson).
  */
 
 #ifndef EVE_COMMON_JSON_HH
@@ -46,14 +46,6 @@ struct JsonValue
  * (jsonEscape never emits them).
  */
 bool parseJson(const std::string& text, JsonValue& out);
-
-/** Member @p key of @p obj as a number, or @p fallback. */
-double jsonNumberField(const JsonValue& obj, const char* key,
-                       double fallback = 0);
-
-/** Member @p key of @p obj as a string, or @p fallback. */
-std::string jsonStringField(const JsonValue& obj, const char* key,
-                            const std::string& fallback = "");
 
 } // namespace eve
 

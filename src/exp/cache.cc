@@ -1,11 +1,9 @@
 #include "exp/cache.hh"
 
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <filesystem>
-#include <fstream>
 #include <utility>
-#include <vector>
 
 #include "common/bits.hh"
 #include "common/fs.hh"
@@ -62,10 +60,51 @@ statusFromName(const std::string& name, JobStatus& out)
     return true;
 }
 
-double
-numberField(const JsonValue& obj, const char* key, double fallback = 0)
+/**
+ * Member @p key of @p obj as a finite number. Absent and null read 0
+ * (jsonNumber writes null for NaN and Inf); any other type, or a
+ * non-finite number, is malformed.
+ */
+bool
+realField(const JsonValue& obj, const char* key, double& out)
 {
-    return jsonNumberField(obj, key, fallback);
+    const JsonValue* v = obj.find(key);
+    out = 0;
+    if (!v || v->type == JsonValue::Type::Null)
+        return true;
+    if (!v->isNumber() || !std::isfinite(v->number))
+        return false;
+    out = v->number;
+    return true;
+}
+
+/**
+ * Member @p key of @p obj as a count. Absent reads 0; anything but an
+ * integral number in [0, 2^64) is malformed, so the conversion below
+ * is always defined.
+ */
+bool
+countField(const JsonValue& obj, const char* key, std::uint64_t& out)
+{
+    const JsonValue* v = obj.find(key);
+    out = 0;
+    if (!v)
+        return true;
+    if (!v->isNumber() || !(v->number >= 0) ||
+        !(v->number < 0x1p64) || v->number != std::floor(v->number))
+        return false;
+    out = std::uint64_t(v->number);
+    return true;
+}
+
+bool
+stringField(const JsonValue& obj, const char* key, std::string& out)
+{
+    const JsonValue* v = obj.find(key);
+    if (!v || !v->isString())
+        return false;
+    out = v->text;
+    return true;
 }
 
 } // namespace
@@ -76,83 +115,84 @@ parseResultJson(const std::string& json, JobResult& out)
     JsonValue root;
     if (!parseJson(json, root) || !root.isObject())
         return false;
-    const JsonValue* status = root.find("status");
-    if (!status || status->type != JsonValue::Type::String)
-        return false;
-
     JobResult r;
-    if (!statusFromName(status->text, r.status))
+    RunResult& res = r.result;
+    std::string status;
+    if (!stringField(root, "system", res.system) ||
+        !stringField(root, "workload", r.workload) ||
+        !stringField(root, "status", status) ||
+        !statusFromName(status, r.status))
         return false;
-    r.index = std::size_t(numberField(root, "index"));
-    if (const JsonValue* v = root.find("label");
-        v && v->type == JsonValue::Type::String)
-        r.label = v->text;
-    if (const JsonValue* v = root.find("system");
-        v && v->type == JsonValue::Type::String)
-        r.result.system = v->text;
-    if (const JsonValue* v = root.find("workload");
-        v && v->type == JsonValue::Type::String) {
-        r.workload = v->text;
-        r.result.workload = v->text;
-    }
-    if (const JsonValue* v = root.find("axes");
-        v && v->type == JsonValue::Type::Object) {
+    res.workload = r.workload;
+    stringField(root, "label", r.label);
+    stringField(root, "error", r.error);
+
+    std::uint64_t index = 0;
+    bool ok = countField(root, "index", index) &&
+              realField(root, "wall_s", r.wall_seconds) &&
+              realField(root, "cycles", res.cycles) &&
+              realField(root, "seconds", res.seconds) &&
+              realField(root, "total_ticks", res.total_ticks) &&
+              countField(root, "instrs", res.instrs) &&
+              countField(root, "mismatches", res.mismatches) &&
+              countField(root, "vec_instrs", res.vecInstrs) &&
+              countField(root, "vec_elem_ops", res.vecElemOps);
+    r.index = index;
+    if (const JsonValue* v = root.find("axes"); v && v->isObject()) {
         for (const auto& [name, value] : v->members) {
-            if (value.type != JsonValue::Type::String)
-                return false;
+            ok = ok && value.isString();
             r.axes.emplace_back(name, value.text);
         }
     }
-    if (const JsonValue* v = root.find("error");
-        v && v->type == JsonValue::Type::String)
-        r.error = v->text;
-    r.wall_seconds = numberField(root, "wall_s");
-
-    RunResult& res = r.result;
-    res.cycles = numberField(root, "cycles");
-    res.seconds = numberField(root, "seconds");
-    res.total_ticks = numberField(root, "total_ticks");
-    res.instrs = std::uint64_t(numberField(root, "instrs"));
-    res.mismatches = std::uint64_t(numberField(root, "mismatches"));
-    res.vecInstrs = std::uint64_t(numberField(root, "vec_instrs"));
-    res.vecElemOps =
-        std::uint64_t(numberField(root, "vec_elem_ops"));
     if (const JsonValue* v = root.find("sampled");
         v && v->type == JsonValue::Type::Bool && v->boolean) {
         res.sampled = true;
-        res.sample_windows =
-            std::uint64_t(numberField(root, "sample_windows"));
-        res.sampled_measured_instrs = std::uint64_t(
-            numberField(root, "sampled_measured_instrs"));
-        res.sampled_measured_ticks = std::uint64_t(
-            numberField(root, "sampled_measured_ticks"));
+        ok = ok &&
+             countField(root, "sample_windows", res.sample_windows) &&
+             countField(root, "sampled_measured_instrs",
+                        res.sampled_measured_instrs) &&
+             countField(root, "sampled_measured_ticks",
+                        res.sampled_measured_ticks);
     }
-    if (const JsonValue* v = root.find("stats");
-        v && v->type == JsonValue::Type::Object) {
+    if (const JsonValue* v = root.find("stats"); v && v->isObject()) {
         for (const auto& [name, value] : v->members) {
-            if (value.type != JsonValue::Type::Number)
-                return false;
+            ok = ok && value.isNumber() && std::isfinite(value.number);
             res.stats[name] = value.number;
         }
     }
-    if (const JsonValue* v = root.find("breakdown");
-        v && v->type == JsonValue::Type::Object) {
+    if (const JsonValue* v = root.find("breakdown"); v && v->isObject()) {
         res.has_breakdown = true;
         EveBreakdown& b = res.breakdown;
-        b.busy = numberField(*v, "busy");
-        b.vru_stall = numberField(*v, "vru_stall");
-        b.ld_mem_stall = numberField(*v, "ld_mem_stall");
-        b.st_mem_stall = numberField(*v, "st_mem_stall");
-        b.ld_dt_stall = numberField(*v, "ld_dt_stall");
-        b.st_dt_stall = numberField(*v, "st_dt_stall");
-        b.vmu_stall = numberField(*v, "vmu_stall");
-        b.empty_stall = numberField(*v, "empty_stall");
-        b.dep_stall = numberField(*v, "dep_stall");
-        res.vmu_cache_stall_ticks =
-            numberField(root, "vmu_cache_stall_ticks");
+        ok = ok && realField(*v, "busy", b.busy) &&
+             realField(*v, "vru_stall", b.vru_stall) &&
+             realField(*v, "ld_mem_stall", b.ld_mem_stall) &&
+             realField(*v, "st_mem_stall", b.st_mem_stall) &&
+             realField(*v, "ld_dt_stall", b.ld_dt_stall) &&
+             realField(*v, "st_dt_stall", b.st_dt_stall) &&
+             realField(*v, "vmu_stall", b.vmu_stall) &&
+             realField(*v, "empty_stall", b.empty_stall) &&
+             realField(*v, "dep_stall", b.dep_stall) &&
+             realField(root, "vmu_cache_stall_ticks",
+                       res.vmu_cache_stall_ticks);
     }
+    if (!ok)
+        return false;
     out = std::move(r);
     return true;
+}
+
+void
+writeRecordFile(const std::string& path, const JobResult& r)
+{
+    atomicWriteFile(path,
+                    resultToJson(r, /*include_host_time=*/true) + "\n");
+}
+
+bool
+readRecordFile(const std::string& path, JobResult& out)
+{
+    std::string text;
+    return readFile(path, text) && parseResultJson(text, out);
 }
 
 ResultCache::ResultCache(std::string dir_path, std::string salt_tag)
@@ -165,73 +205,19 @@ ResultCache::ResultCache(std::string dir_path, std::string salt_tag)
 }
 
 std::string
-ResultCache::filePath() const
+ResultCache::recordPath(const Job& job) const
 {
-    return dir + "/cache.jsonl";
-}
-
-std::size_t
-ResultCache::load()
-{
-    std::ifstream in(filePath());
-    if (!in)
-        return 0; // no artifact yet: an empty cache
-    std::string line;
-    std::size_t line_no = 0;
-    while (std::getline(in, line)) {
-        ++line_no;
-        if (line.empty())
-            continue;
-        // {"key":"<16 hex>","record":{...}}
-        static const std::string kKeyPrefix = "{\"key\":\"";
-        static const std::string kRecordPrefix = "\",\"record\":";
-        bool ok = line.rfind(kKeyPrefix, 0) == 0 && line.back() == '}';
-        std::string key, record;
-        if (ok) {
-            const std::size_t key_end =
-                line.find('"', kKeyPrefix.size());
-            ok = key_end != std::string::npos &&
-                 line.compare(key_end, kRecordPrefix.size(),
-                              kRecordPrefix) == 0;
-            if (ok) {
-                key = line.substr(kKeyPrefix.size(),
-                                  key_end - kKeyPrefix.size());
-                const std::size_t rec_begin =
-                    key_end + kRecordPrefix.size();
-                record = line.substr(rec_begin,
-                                     line.size() - rec_begin - 1);
-                JobResult parsed;
-                ok = key.size() == 16 &&
-                     parseResultJson(record, parsed) &&
-                     parsed.status == JobStatus::Ok;
-            }
-        }
-        if (!ok) {
-            warn("result cache %s:%zu: skipping unparseable entry",
-                 filePath().c_str(), line_no);
-            continue;
-        }
-        entries[key] = std::move(record); // later entries win
-    }
-    return entries.size();
+    return dir + "/" + jobKey(job, salt) + ".json";
 }
 
 bool
 ResultCache::lookup(const Job& job, JobResult& out) const
 {
-    out.index = job.index;
-    out.label = job.label;
-    out.workload = job.workload;
-    out.config = job.config;
-    out.axes = job.axes;
-
-    const auto it = entries.find(jobKey(job, salt));
-    if (it == entries.end())
-        return false;
+    adoptIdentity(out, job);
     JobResult restored;
-    if (!parseResultJson(it->second, restored) ||
+    if (!readRecordFile(recordPath(job), restored) ||
         restored.status != JobStatus::Ok)
-        return false; // treat a corrupt record as a miss
+        return false; // a missing or corrupt record is a miss
     // Payload from the record, identity from the live job (an edited
     // sweep may have shifted indices or renamed axis labels).
     adoptPayload(out, std::move(restored));
@@ -245,35 +231,12 @@ ResultCache::store(const Job& job, const JobResult& r)
 {
     if (!eligible(r))
         return;
-    const std::string key = jobKey(job, salt);
-    if (entries.count(key))
-        return;
-    std::string record = resultToJson(r, /*include_host_time=*/true);
-
-    std::error_code ec;
-    std::filesystem::create_directories(dir, ec);
-    if (ec)
-        fatal("result cache: cannot create '%s': %s", dir.c_str(),
-              ec.message().c_str());
-    const std::string line =
-        "{\"key\":\"" + key + "\",\"record\":" + record + "}\n";
-    {
-        // Serialize appends across processes (concurrent sweeps,
-        // orchestrators and benches sharing one cache directory):
-        // one flock'd single write per entry, so lines never
-        // interleave.
-        FileLock lock(dir + "/cache.lock");
-        std::ofstream out(filePath(), std::ios::app);
-        if (!out)
-            fatal("result cache: cannot open '%s' for append",
-                  filePath().c_str());
-        out << line;
-        out.flush();
-        if (!out)
-            fatal("result cache: write to '%s' failed",
-                  filePath().c_str());
-    }
-    entries[key] = std::move(record);
+    const std::string path = recordPath(job);
+    JobResult stored;
+    if (readRecordFile(path, stored) && stored.status == JobStatus::Ok)
+        return; // another run of the same key got there first
+    makeDirs(dir);
+    writeRecordFile(path, r);
     ++stored_count;
 }
 

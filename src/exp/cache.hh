@@ -1,16 +1,17 @@
 /**
  * @file
- * Content-hash result cache for resumable sweeps.
+ * Content-hash result cache for resumable sweeps, and the one
+ * on-disk form of a result record.
  *
  * Every Job has a stable content key: a 64-bit FNV-1a hash over the
  * canonicalized SystemConfig (configCanonical — every field, in
  * declaration order), the workload name, the input-scale tag, a
  * simulator-version salt, and — only for custom-executor jobs — a
  * variant tag (Job::variant). The ResultCache maps keys to previously
- * recorded JSONL result records; the Runner consults it before
- * executing a job and stores fresh Ok results after the run, so a
- * resumed or incrementally edited sweep re-runs only the grid points
- * whose content actually changed.
+ * recorded result records; the Runner consults it before executing a
+ * job and stores fresh Ok results after the run, so a resumed or
+ * incrementally edited sweep re-runs only the grid points whose
+ * content actually changed.
  *
  * Invalidation is purely key-based — there is no mutable metadata:
  *  - editing any SystemConfig field changes configCanonical and
@@ -28,15 +29,18 @@
  * round-trips exactly through strtod, re-serializing the restored
  * JobResult reproduces the original bytes.
  *
- * On-disk format: one line per entry in <dir>/cache.jsonl,
- *
- *   {"key":"<16 hex digits>","record":{<resultToJson output>}}
- *
- * The file is append-only; on load, later entries win. Unparseable
- * lines are skipped with a warning (a truncated final line from a
- * killed run must not poison the rest of the cache). Appends are
- * serialized across processes by an flock(2) on <dir>/cache.lock, so
- * several processes may safely share one cache directory.
+ * On-disk format: one record file per key, <dir>/<KEY>.json, holding
+ * the resultToJson text and a newline — the layout the job-file
+ * protocol uses for done/KEY.json (exp/dist.hh), written and read
+ * through the same writeRecordFile()/readRecordFile() pair. A record
+ * file is written whole by fsync-and-rename, so a reader sees either
+ * no file or a complete one; a missing or unparseable file is a miss,
+ * and the next store replaces it. Several processes may share one
+ * cache directory without a lock: concurrent stores of one key each
+ * rename a complete file, and every record for a key carries the same
+ * simulated payload. The cache is an accelerator only: a cache.jsonl
+ * journal from older versions is not read, and deleting the directory
+ * loses nothing but time.
  */
 
 #ifndef EVE_EXP_CACHE_HH
@@ -44,7 +48,6 @@
 
 #include <cstddef>
 #include <string>
-#include <unordered_map>
 
 #include "exp/runner.hh"
 #include "exp/sweep.hh"
@@ -68,18 +71,33 @@ std::string jobKey(const Job& job,
 
 /**
  * Parse one resultToJson() record back into a JobResult (the inverse
- * of the serializer, field for field; the config itself is not part
- * of the record, so @p out.config is left untouched). Returns false
- * on malformed input without modifying @p out.
+ * of the serializer, field for field; the config is not part of the
+ * record, so @p out.config comes back default). A record must
+ * have string "system", "workload" and "status" fields; every count
+ * (index, instrs, ...) must be an integer in [0, 2^64) and every
+ * other number finite. Returns false on anything else without
+ * modifying @p out: the records come from files other processes
+ * write.
  */
 bool parseResultJson(const std::string& json, JobResult& out);
 
 /**
- * Durable key -> record store under one directory. Not thread-safe;
- * the Runner loads before and stores after its parallel section.
- * Several instances — in one process or many — may share a
- * directory: appends are flock-serialized, and each instance sees
- * the others' entries on its next load().
+ * Write @p r's resultToJson record (host time included) to @p path
+ * whole, by fsync-and-rename (fatal on I/O error).
+ */
+void writeRecordFile(const std::string& path, const JobResult& r);
+
+/**
+ * Read and parse the record file at @p path; false when it is
+ * missing or unparseable, leaving @p out untouched.
+ */
+bool readRecordFile(const std::string& path, JobResult& out);
+
+/**
+ * Durable key -> record store under one directory: <dir>/<KEY>.json.
+ * Holds no state beyond its store count, so any number of instances,
+ * in one process or many, may share a directory and see each other's
+ * records at once.
  */
 class ResultCache
 {
@@ -89,13 +107,7 @@ class ResultCache
                          std::string salt = kSimulatorSalt);
 
     /**
-     * Read <dir>/cache.jsonl into memory; a missing file is an empty
-     * cache, not an error. Returns the number of entries loaded.
-     */
-    std::size_t load();
-
-    /**
-     * If @p job's key has a stored record, restore it into @p out:
+     * If @p job's key has a stored Ok record, restore it into @p out:
      * payload fields from the record, identity (index, label, config,
      * axes) from @p job, status JobStatus::Cached. Returns true on a
      * hit; on a miss or an unparseable record, @p out keeps only the
@@ -105,7 +117,7 @@ class ResultCache
 
     /**
      * Persist @p r under @p job's key if it is cache-eligible and the
-     * key is not already stored (appends to cache.jsonl).
+     * key holds no parseable Ok record yet.
      */
     void store(const Job& job, const JobResult& r);
 
@@ -115,23 +127,18 @@ class ResultCache
         return r.status == JobStatus::Ok;
     }
 
-    /** Entries currently in memory. */
-    std::size_t size() const { return entries.size(); }
-
-    /** Entries appended by store() since construction. */
+    /** Records written by store() since construction. */
     std::size_t stores() const { return stored_count; }
 
-    /** "<dir>/cache.jsonl". */
-    std::string filePath() const;
+    /** "<dir>/<KEY>.json" for @p job's key. */
+    std::string recordPath(const Job& job) const;
 
     const std::string& directory() const { return dir; }
-    const std::string& saltString() const { return salt; }
 
   private:
     std::string dir;
     std::string salt;
     std::size_t stored_count = 0;
-    std::unordered_map<std::string, std::string> entries;
 };
 
 } // namespace eve::exp

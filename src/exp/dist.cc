@@ -15,7 +15,6 @@
 #include "common/log.hh"
 #include "driver/system.hh"
 #include "exp/cache.hh"
-#include "exp/sink.hh"
 #include "workloads/workload.hh"
 
 namespace eve::exp
@@ -466,8 +465,7 @@ JobsDir::abandon(const DistJob& job, const std::string& last_claim)
     r.error = "abandoned after " + std::to_string(kMaxClaims) +
               " claims (crashed or hung workers; last claim by " +
               (last_owner.empty() ? "<unknown>" : last_owner) + ")";
-    atomicWriteFile(path, resultToJson(r, /*include_host_time=*/true) +
-                              "\n");
+    writeRecordFile(path, r);
     warn("jobs dir: %s %s", job.key.c_str(), r.error.c_str());
 }
 
@@ -539,9 +537,7 @@ JobsDir::publishResult(const DistJob& job, const JobResult& r)
     // A twin that ran the job after this actor's claim went stale may
     // have published already; its record carries the same payload.
     if (!fileExists(path))
-        atomicWriteFile(path,
-                        resultToJson(r, /*include_host_time=*/true) +
-                            "\n");
+        writeRecordFile(path, r);
     std::lock_guard<std::mutex> lock(hb_mutex);
     held.erase(job.key);
 }
@@ -553,19 +549,16 @@ JobsDir::merge(const std::vector<Job>& jobs) const
     for (std::size_t i = 0; i < jobs.size(); ++i) {
         const Job& job = jobs[i];
         JobResult& out = results[i];
-        out.index = job.index;
-        out.label = job.label;
-        out.workload = job.workload;
-        out.config = job.config;
-        out.axes = job.axes;
+        adoptIdentity(out, job);
 
         const std::string key = jobKey(job);
-        std::string text;
-        if (!readFile(at("done/" + key + ".json"), text) &&
-            !readFile(at("failed/" + key + ".json"), text))
+        std::string path = at("done/" + key + ".json");
+        if (!fileExists(path))
+            path = at("failed/" + key + ".json");
+        if (!fileExists(path))
             continue; // no record: stays Skipped (identity only)
         JobResult parsed;
-        if (!parseResultJson(text, parsed)) {
+        if (!readRecordFile(path, parsed)) {
             out.status = JobStatus::Failed;
             out.error = "unparseable result record for " + key;
             continue;
@@ -678,13 +671,8 @@ runDistributed(const std::vector<Job>& jobs, const DistOptions& opts,
                ResultCache* cache)
 {
     std::vector<JobResult> results(jobs.size());
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-        results[i].index = jobs[i].index;
-        results[i].label = jobs[i].label;
-        results[i].workload = jobs[i].workload;
-        results[i].config = jobs[i].config;
-        results[i].axes = jobs[i].axes;
-    }
+    for (std::size_t i = 0; i < jobs.size(); ++i)
+        adoptIdentity(results[i], jobs[i]);
     if (jobs.empty())
         return results;
 

@@ -24,7 +24,9 @@
  *                    O_CREAT|O_EXCL, holds "<owner> <seq>", rewritten
  *                    by its creator's heartbeat every lease/10, and
  *                    never renamed or removed
- *   done/KEY.json    verified-Ok result record (resultToJson)
+ *   done/KEY.json    verified-Ok result record, in the result
+ *                    cache's record-file format (writeRecordFile,
+ *                    exp/cache.hh)
  *   failed/KEY.json  deterministic failure (threw / mismatched), or
  *                    abandonment
  *   stop             drop this file to make every worker exit

@@ -50,11 +50,7 @@ void
 runJob(const Job& job, JobResult& out,
        const std::string& checkpoint_dir)
 {
-    out.index = job.index;
-    out.label = job.label;
-    out.workload = job.workload;
-    out.config = job.config;
-    out.axes = job.axes;
+    adoptIdentity(out, job);
 
     const auto start = std::chrono::steady_clock::now();
     try {
@@ -92,13 +88,8 @@ Runner::run(const std::vector<Job>& jobs) const
 {
     std::vector<JobResult> results(jobs.size());
     // Pre-fill identity fields so Skipped entries are still labelled.
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-        results[i].index = jobs[i].index;
-        results[i].label = jobs[i].label;
-        results[i].workload = jobs[i].workload;
-        results[i].config = jobs[i].config;
-        results[i].axes = jobs[i].axes;
-    }
+    for (std::size_t i = 0; i < jobs.size(); ++i)
+        adoptIdentity(results[i], jobs[i]);
     if (jobs.empty())
         return results;
 
@@ -168,6 +159,16 @@ Runner::run(const std::vector<Job>& jobs) const
             opts.cache->store(jobs[i], results[i]);
     }
     return results;
+}
+
+void
+adoptIdentity(JobResult& out, const Job& job)
+{
+    out.index = job.index;
+    out.label = job.label;
+    out.workload = job.workload;
+    out.config = job.config;
+    out.axes = job.axes;
 }
 
 void

@@ -57,6 +57,12 @@ struct JobResult
     SystemConfig config;      ///< from Job::config
     std::vector<std::pair<std::string, std::string>> axes;
 
+    /**
+     * Basename of the artifact a loaded record came from
+     * (report::loadSweepFile); empty otherwise, and never serialized.
+     */
+    std::string source;
+
     JobStatus status = JobStatus::Skipped;
     std::string error;        ///< exception text when Failed
     double wall_seconds = 0;  ///< host wall-clock time of the job
@@ -134,6 +140,14 @@ std::size_t countStatus(const std::vector<JobResult>& results,
  */
 void runJob(const Job& job, JobResult& out,
             const std::string& checkpoint_dir = "");
+
+/**
+ * Copy the *identity* half of @p job — index, label, workload,
+ * config, axes — into @p out, leaving the payload untouched. Every
+ * result starts here, whether it is then run, restored from the
+ * cache or merged from a jobs directory.
+ */
+void adoptIdentity(JobResult& out, const Job& job);
 
 /**
  * Copy the *payload* half of @p record — status, error text, host

@@ -1,7 +1,6 @@
 #include "exp/sink.hh"
 
 #include <map>
-#include <ostream>
 #include <set>
 #include <sstream>
 
@@ -27,6 +26,13 @@ quoted(const std::string& s)
 } // namespace
 
 std::string
+recordSystem(const JobResult& r)
+{
+    return r.result.system.empty() ? systemName(r.config)
+                                   : r.result.system;
+}
+
+std::string
 resultToJson(const JobResult& r, bool include_host_time)
 {
     // A Cached result *is* the earlier Ok run, restored verbatim;
@@ -36,9 +42,7 @@ resultToJson(const JobResult& r, bool include_host_time)
     std::ostringstream os;
     os << "{\"index\":" << r.index
        << ",\"label\":" << quoted(r.label)
-       << ",\"system\":"
-       << quoted(r.result.system.empty() ? systemName(r.config)
-                                         : r.result.system)
+       << ",\"system\":" << quoted(recordSystem(r))
        << ",\"workload\":" << quoted(r.workload)
        << ",\"status\":"
        << quoted(cached ? "ok" : jobStatusName(r.status));
@@ -98,18 +102,6 @@ resultToJson(const JobResult& r, bool include_host_time)
     return os.str();
 }
 
-void
-JsonLinesSink::write(const JobResult& r)
-{
-    os << resultToJson(r) << '\n';
-}
-
-void
-CsvSink::write(const JobResult& r)
-{
-    rows.push_back(r);
-}
-
 namespace
 {
 
@@ -131,13 +123,11 @@ csvField(const std::string& s)
 } // namespace
 
 std::string
-CsvSink::render() const
+resultsToCsv(const std::vector<JobResult>& results)
 {
-    // Axis and stat columns are the sorted union over all rows, so
-    // heterogeneous sweeps (e.g. EVE + scalar systems) line up.
     std::set<std::string> axis_names;
     std::set<std::string> stat_keys;
-    for (const auto& r : rows) {
+    for (const auto& r : results) {
         for (const auto& [name, value] : r.axes)
             axis_names.insert(name);
         for (const auto& [key, value] : r.result.stats)
@@ -153,7 +143,7 @@ CsvSink::render() const
         os << ',' << csvField(key);
     os << '\n';
 
-    for (const auto& r : rows) {
+    for (const auto& r : results) {
         os << r.index << ',' << csvField(r.label) << ','
            << csvField(systemName(r.config)) << ','
            << csvField(r.workload) << ',' << jobStatusName(r.status)
@@ -196,10 +186,7 @@ writeJsonLines(const std::vector<JobResult>& results,
 void
 writeCsv(const std::vector<JobResult>& results, const std::string& path)
 {
-    CsvSink sink;
-    for (const auto& r : results)
-        sink.write(r);
-    atomicWriteFile(path, sink.render());
+    atomicWriteFile(path, resultsToCsv(results));
 }
 
 } // namespace eve::exp

@@ -1,11 +1,11 @@
 /**
  * @file
- * Result sinks: machine-readable serialization of sweep results.
+ * Machine-readable serialization of sweep results.
  *
  * Two formats are provided:
  *  - JSON lines (one self-describing object per job) for downstream
  *    tooling; includes the flattened stats map and the EVE execution
- *    breakdown;
+ *    breakdown. parseResultJson (exp/cache.hh) is its one reader;
  *  - CSV with one column per core field, axis, and stat key (the
  *    union over all rows), for spreadsheet-style analysis.
  *
@@ -19,7 +19,6 @@
 #ifndef EVE_EXP_SINK_HH
 #define EVE_EXP_SINK_HH
 
-#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -37,40 +36,18 @@ namespace eve::exp
 std::string resultToJson(const JobResult& r,
                          bool include_host_time = true);
 
-/** Streaming sink interface. */
-class ResultSink
-{
-  public:
-    virtual ~ResultSink() = default;
-    virtual void write(const JobResult& r) = 0;
-};
-
-/** Writes one JSON object per line to a stream. */
-class JsonLinesSink : public ResultSink
-{
-  public:
-    explicit JsonLinesSink(std::ostream& os) : os(os) {}
-    void write(const JobResult& r) override;
-
-  private:
-    std::ostream& os;
-};
+/**
+ * The system name @p r's record carries: the run's own name, or
+ * systemName(config) for a job that never ran (failed or skipped).
+ */
+std::string recordSystem(const JobResult& r);
 
 /**
- * Buffers rows and renders a CSV whose stat columns are the union of
- * every row's stat keys (sorted). Call render() once at the end.
+ * CSV for @p results: a header, then one line per result. Axis and
+ * stat columns are the sorted union over every row's keys, so
+ * heterogeneous sweeps (e.g. EVE + scalar systems) line up.
  */
-class CsvSink : public ResultSink
-{
-  public:
-    void write(const JobResult& r) override;
-
-    /** Header + one line per written result. */
-    std::string render() const;
-
-  private:
-    std::vector<JobResult> rows;
-};
+std::string resultsToCsv(const std::vector<JobResult>& results);
 
 /**
  * Serialize @p results as JSON lines to @p path (fatal on I/O

@@ -10,6 +10,8 @@
 #include <sstream>
 
 #include "common/fs.hh"
+#include "driver/table.hh"
+#include "exp/sink.hh"
 
 namespace eve::report
 {
@@ -44,44 +46,47 @@ isEve(const std::string& system)
     return system.rfind("O3+EVE-", 0) == 0;
 }
 
+/** The chosen result of each (system, workload) cell. */
+using Cells = std::map<std::pair<std::string, std::string>,
+                       const exp::JobResult*>;
+
 /**
- * Pick one record per (system, workload). Exact records rank above
- * sampled ones, then axis-free records above axis points (those
+ * Pick one result per (system, workload). Exact results rank above
+ * sampled ones, then axis-free results above axis points (those
  * belong to ablation sweeps, not the headline figures); within the
- * same rank the last record wins (re-runs append). Exactness ranks
+ * same rank the last result wins (re-runs append). Exactness ranks
  * first because an ablation sweep (say --llc-mshrs) gives every
- * record, exact or sampled, an axis.
+ * result, exact or sampled, an axis.
  */
-std::map<std::pair<std::string, std::string>, Record>
-selectCells(const std::vector<Record>& records)
+Cells
+selectCells(const std::vector<exp::JobResult>& results)
 {
-    std::map<std::pair<std::string, std::string>, Record> cells;
+    Cells cells;
     std::map<std::pair<std::string, std::string>, int> pref;
-    for (const auto& r : records) {
-        if (!r.ok())
+    for (const auto& r : results) {
+        if (!recordOk(r))
             continue;
-        const auto key = std::make_pair(r.system, r.workload);
-        const int p = (r.sampled ? 0 : 2) + (r.axes.empty() ? 1 : 0);
+        const auto key = std::make_pair(exp::recordSystem(r), r.workload);
+        const int p =
+            (r.result.sampled ? 0 : 2) + (r.axes.empty() ? 1 : 0);
         const auto it = pref.find(key);
         if (it != pref.end() && it->second > p)
             continue;
         pref[key] = p;
-        cells[key] = r;
+        cells[key] = &r;
     }
     return cells;
 }
 
 /** Workloads in first-appearance order, systems in canonical order. */
 void
-collectAxes(
-    const std::map<std::pair<std::string, std::string>, Record>& cells,
-    std::vector<std::string>& systems,
-    std::vector<std::string>& workloads,
-    const std::vector<Record>& records)
+collectAxes(const Cells& cells, std::vector<std::string>& systems,
+            std::vector<std::string>& workloads,
+            const std::vector<exp::JobResult>& results)
 {
     std::set<std::string> seen_w;
-    for (const auto& r : records) {
-        if (!cells.count(std::make_pair(r.system, r.workload)))
+    for (const auto& r : results) {
+        if (!cells.count(std::make_pair(exp::recordSystem(r), r.workload)))
             continue;
         if (seen_w.insert(r.workload).second)
             workloads.push_back(r.workload);
@@ -97,30 +102,38 @@ collectAxes(
               });
 }
 
+/** The chosen RunResult of cell (@p system, @p workload), or null. */
+const RunResult*
+cellAt(const Cells& cells, const std::string& system,
+       const std::string& workload)
+{
+    const auto it = cells.find(std::make_pair(system, workload));
+    return it != cells.end() ? &it->second->result : nullptr;
+}
+
 } // namespace
 
 FigureTable
-fig6Performance(const std::vector<Record>& records)
+fig6Performance(const std::vector<exp::JobResult>& results)
 {
     FigureTable fig;
     fig.name = "fig6_performance";
     fig.title = "Speed-up over the in-order core (IO)";
-    const auto cells = selectCells(records);
+    const Cells cells = selectCells(results);
     std::vector<std::string> systems, workloads;
-    collectAxes(cells, systems, workloads, records);
+    collectAxes(cells, systems, workloads, results);
     if (!std::count(systems.begin(), systems.end(), "IO"))
         return fig;  // no baseline, no speedups
     fig.columns = systems;
     for (const auto& w : workloads) {
-        const auto io = cells.find(std::make_pair(std::string("IO"), w));
-        if (io == cells.end() || io->second.seconds <= 0)
+        const RunResult* io = cellAt(cells, "IO", w);
+        if (!io || io->seconds <= 0)
             continue;
         std::vector<double> row;
         for (const auto& s : systems) {
-            const auto it = cells.find(std::make_pair(s, w));
-            row.push_back(it != cells.end() && it->second.seconds > 0
-                              ? io->second.seconds / it->second.seconds
-                              : kNaN);
+            const RunResult* r = cellAt(cells, s, w);
+            row.push_back(r && r->seconds > 0 ? io->seconds / r->seconds
+                                              : kNaN);
         }
         fig.rows.push_back(w);
         fig.cells.push_back(std::move(row));
@@ -160,44 +173,44 @@ fig6Performance(const std::vector<Record>& records)
 }
 
 FigureTable
-fig7Breakdown(const std::vector<Record>& records)
+fig7Breakdown(const std::vector<exp::JobResult>& results)
 {
     FigureTable fig;
     fig.name = "fig7_breakdown";
     fig.title = "EVE execution breakdown (normalized to EVE-1 total)";
     fig.row_header = "workload/design";
-    const std::vector<std::string> components = {
-        "busy",        "vru_stall",   "ld_mem_stall",
-        "st_mem_stall", "ld_dt_stall", "st_dt_stall",
-        "vmu_stall",   "empty_stall", "dep_stall"};
+    const std::pair<const char*, double EveBreakdown::*> components[] = {
+        {"busy", &EveBreakdown::busy},
+        {"vru_stall", &EveBreakdown::vru_stall},
+        {"ld_mem_stall", &EveBreakdown::ld_mem_stall},
+        {"st_mem_stall", &EveBreakdown::st_mem_stall},
+        {"ld_dt_stall", &EveBreakdown::ld_dt_stall},
+        {"st_dt_stall", &EveBreakdown::st_dt_stall},
+        {"vmu_stall", &EveBreakdown::vmu_stall},
+        {"empty_stall", &EveBreakdown::empty_stall},
+        {"dep_stall", &EveBreakdown::dep_stall}};
     fig.columns = {"total"};
-    fig.columns.insert(fig.columns.end(), components.begin(),
-                       components.end());
-    const auto cells = selectCells(records);
+    for (const auto& [name, member] : components)
+        fig.columns.push_back(name);
+    const Cells cells = selectCells(results);
     std::vector<std::string> systems, workloads;
-    collectAxes(cells, systems, workloads, records);
+    collectAxes(cells, systems, workloads, results);
     for (const auto& w : workloads) {
-        const auto eve1 =
-            cells.find(std::make_pair(std::string("O3+EVE-1"), w));
-        const double eve1_ticks =
-            eve1 != cells.end() ? eve1->second.total_ticks : 0;
+        const RunResult* eve1 = cellAt(cells, "O3+EVE-1", w);
+        const double eve1_ticks = eve1 ? eve1->total_ticks : 0;
         for (const auto& s : systems) {
             if (!isEve(s))
                 continue;
-            const auto it = cells.find(std::make_pair(s, w));
-            if (it == cells.end() || !it->second.has_breakdown)
+            const RunResult* r = cellAt(cells, s, w);
+            if (!r || !r->has_breakdown)
                 continue;
-            const Record& r = it->second;
             const double denom =
-                eve1_ticks > 0 ? eve1_ticks : r.total_ticks;
+                eve1_ticks > 0 ? eve1_ticks : r->total_ticks;
             std::vector<double> row;
-            row.push_back(denom > 0 ? r.total_ticks / denom : kNaN);
-            for (const auto& c : components) {
-                const auto b = r.breakdown.find(c);
-                row.push_back(b != r.breakdown.end() && denom > 0
-                                  ? b->second / denom
-                                  : kNaN);
-            }
+            row.push_back(denom > 0 ? r->total_ticks / denom : kNaN);
+            for (const auto& [name, member] : components)
+                row.push_back(denom > 0 ? r->breakdown.*member / denom
+                                        : kNaN);
             fig.rows.push_back(w + "/" + s);
             fig.cells.push_back(std::move(row));
         }
@@ -208,14 +221,14 @@ fig7Breakdown(const std::vector<Record>& records)
 }
 
 FigureTable
-fig8VmuStalls(const std::vector<Record>& records)
+fig8VmuStalls(const std::vector<exp::JobResult>& results)
 {
     FigureTable fig;
     fig.name = "fig8_vmu_stalls";
     fig.title = "VMU cache-induced stall % of request-issue time";
-    const auto cells = selectCells(records);
+    const Cells cells = selectCells(results);
     std::vector<std::string> systems, workloads;
-    collectAxes(cells, systems, workloads, records);
+    collectAxes(cells, systems, workloads, results);
     for (const auto& s : systems)
         if (isEve(s))
             fig.columns.push_back(s);
@@ -225,14 +238,13 @@ fig8VmuStalls(const std::vector<Record>& records)
         std::vector<double> row;
         bool any = false;
         for (const auto& s : fig.columns) {
-            const auto it = cells.find(std::make_pair(s, w));
+            const RunResult* r = cellAt(cells, s, w);
             double v = kNaN;
-            if (it != cells.end()) {
-                const auto& stats = it->second.stats;
+            if (r) {
                 const auto stall =
-                    stats.find("eve.vmu_cache_stall_ticks");
-                const auto issue = stats.find("eve.vmu_issue_ticks");
-                if (stall != stats.end() && issue != stats.end()) {
+                    r->stats.find("eve.vmu_cache_stall_ticks");
+                const auto issue = r->stats.find("eve.vmu_issue_ticks");
+                if (stall != r->stats.end() && issue != r->stats.end()) {
                     const double denom =
                         stall->second + issue->second;
                     v = denom > 0 ? 100.0 * stall->second / denom
@@ -251,7 +263,7 @@ fig8VmuStalls(const std::vector<Record>& records)
 }
 
 FigureTable
-table3Systems(const std::vector<Record>& records)
+table3Systems(const std::vector<exp::JobResult>& results)
 {
     FigureTable fig;
     fig.name = "table3_systems";
@@ -264,14 +276,14 @@ table3Systems(const std::vector<Record>& records)
         std::set<std::string> workloads;
     };
     std::map<std::string, Tally> tallies;
-    for (const auto& r : records) {
-        Tally& t = tallies[r.system];
+    for (const auto& r : results) {
+        Tally& t = tallies[exp::recordSystem(r)];
         t.records += 1;
-        if (r.status == "ok")
+        if (recordOk(r))
             t.ok += 1;
-        else if (r.status == "mismatch")
+        else if (r.status == exp::JobStatus::Mismatch)
             t.mismatch += 1;
-        else if (r.status == "failed")
+        else if (r.status == exp::JobStatus::Failed)
             t.failed += 1;
         t.workloads.insert(r.workload);
     }
@@ -293,16 +305,16 @@ table3Systems(const std::vector<Record>& records)
 }
 
 FigureTable
-table4Characterization(const std::vector<Record>& records)
+table4Characterization(const std::vector<exp::JobResult>& results)
 {
     FigureTable fig;
     fig.name = "table4_characterization";
     fig.title = "Workload characterization (vector version)";
     fig.columns = {"instrs", "vec_instrs", "vec_frac",
                    "vec_elem_ops", "ops_per_vinstr"};
-    const auto cells = selectCells(records);
+    const Cells cells = selectCells(results);
     std::vector<std::string> systems, workloads;
-    collectAxes(cells, systems, workloads, records);
+    collectAxes(cells, systems, workloads, results);
     // Characterize on the widest vector system present (EVE first,
     // then DV/IV): scalar systems carry no vector stream.
     std::string chosen;
@@ -319,31 +331,28 @@ table4Characterization(const std::vector<Record>& records)
     if (chosen.empty())
         return fig;
     for (const auto& w : workloads) {
-        const auto it = cells.find(std::make_pair(chosen, w));
-        if (it == cells.end())
+        const RunResult* r = cellAt(cells, chosen, w);
+        if (!r)
             continue;
-        const Record& r = it->second;
+        const double instrs = double(r->instrs);
+        const double vec_instrs = double(r->vecInstrs);
+        const double vec_elem_ops = double(r->vecElemOps);
         fig.rows.push_back(w);
         fig.cells.push_back(
-            {r.instrs, r.vec_instrs,
-             r.instrs > 0 ? r.vec_instrs / r.instrs : kNaN,
-             r.vec_elem_ops,
-             r.vec_instrs > 0 ? r.vec_elem_ops / r.vec_instrs : kNaN});
+            {instrs, vec_instrs,
+             instrs > 0 ? vec_instrs / instrs : kNaN, vec_elem_ops,
+             vec_instrs > 0 ? vec_elem_ops / vec_instrs : kNaN});
     }
     fig.note = "characterized on " + chosen;
     return fig;
 }
 
 std::vector<FigureTable>
-buildAll(const std::vector<Record>& records)
+buildAll(const std::vector<exp::JobResult>& results)
 {
-    std::vector<FigureTable> figures;
-    for (auto&& fig :
-         {fig6Performance(records), fig7Breakdown(records),
-          fig8VmuStalls(records), table3Systems(records),
-          table4Characterization(records)})
-        figures.push_back(fig);
-    return figures;
+    return {fig6Performance(results), fig7Breakdown(results),
+            fig8VmuStalls(results), table3Systems(results),
+            table4Characterization(results)};
 }
 
 namespace
@@ -375,6 +384,29 @@ cellText(double v, int precision = 6)
 }
 
 } // namespace
+
+std::string
+figureText(const FigureTable& fig)
+{
+    if (fig.empty())
+        return "";
+    std::vector<std::string> headers = {fig.row_header};
+    headers.insert(headers.end(), fig.columns.begin(),
+                   fig.columns.end());
+    TextTable table(headers);
+    for (std::size_t r = 0; r < fig.rows.size(); ++r) {
+        std::vector<std::string> row = {fig.rows[r]};
+        for (std::size_t c = 0; c < fig.columns.size(); ++c) {
+            const double v = fig.at(r, c);
+            row.push_back(std::isnan(v) ? "" : TextTable::num(v, 3));
+        }
+        table.addRow(row);
+    }
+    std::string out = fig.title + " (" + fig.name + ")\n" + table.render();
+    if (!fig.note.empty())
+        out += fig.note + "\n";
+    return out + "\n";
+}
 
 std::string
 figureCsv(const FigureTable& fig)

@@ -1,92 +1,57 @@
 #include "report/report.hh"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <filesystem>
+#include <map>
 #include <sstream>
 #include <unordered_map>
 
 #include "common/fs.hh"
-#include "common/json.hh"
+#include "exp/cache.hh"
+#include "exp/sink.hh"
 
 namespace eve::report
 {
 
-std::string
-Record::key() const
+namespace
 {
+
+/** The status @p r serializes as (Cached reads Ok). */
+exp::JobStatus
+recordStatus(const exp::JobResult& r)
+{
+    return recordOk(r) ? exp::JobStatus::Ok : r.status;
+}
+
+} // namespace
+
+bool
+recordOk(const exp::JobResult& r)
+{
+    return r.status == exp::JobStatus::Ok ||
+           r.status == exp::JobStatus::Cached;
+}
+
+std::string
+cellKey(const exp::JobResult& r)
+{
+    std::map<std::string, std::string> axes;
+    for (const auto& [name, value] : r.axes)
+        axes[name] = value;
     std::ostringstream os;
-    os << source << '|' << system << '|' << workload;
+    os << r.source << '|' << exp::recordSystem(r) << '|' << r.workload;
     for (const auto& [name, value] : axes)
         os << '|' << name << '=' << value;
-    os << '|' << (sampled ? "sampled" : "exact");
+    os << '|' << (r.result.sampled ? "sampled" : "exact");
     return os.str();
 }
 
-bool
-parseRecordLine(const std::string& line, Record& out)
-{
-    JsonValue v;
-    if (!parseJson(line, v) || !v.isObject())
-        return false;
-    const JsonValue* system = v.find("system");
-    const JsonValue* workload = v.find("workload");
-    const JsonValue* status = v.find("status");
-    if (!system || !system->isString() || !workload ||
-        !workload->isString() || !status || !status->isString())
-        return false;
-    Record r;
-    r.index = std::uint64_t(jsonNumberField(v, "index"));
-    r.label = jsonStringField(v, "label");
-    r.system = system->text;
-    r.workload = workload->text;
-    r.status = status->text;
-    r.error = jsonStringField(v, "error");
-    if (const JsonValue* axes = v.find("axes");
-        axes && axes->isObject()) {
-        for (const auto& [name, value] : axes->members)
-            r.axes[name] = value.isString()
-                               ? value.text
-                               : std::to_string(value.number);
-    }
-    if (const JsonValue* wall = v.find("wall_s");
-        wall && wall->isNumber()) {
-        r.has_wall = true;
-        r.wall_s = wall->number;
-    }
-    if (const JsonValue* sampled = v.find("sampled"))
-        r.sampled = sampled->boolean;
-    r.cycles = jsonNumberField(v, "cycles");
-    r.seconds = jsonNumberField(v, "seconds");
-    r.total_ticks = jsonNumberField(v, "total_ticks");
-    r.instrs = jsonNumberField(v, "instrs");
-    r.mismatches = jsonNumberField(v, "mismatches");
-    r.vec_instrs = jsonNumberField(v, "vec_instrs");
-    r.vec_elem_ops = jsonNumberField(v, "vec_elem_ops");
-    if (const JsonValue* stats = v.find("stats");
-        stats && stats->isObject()) {
-        for (const auto& [key, value] : stats->members)
-            if (value.isNumber())
-                r.stats[key] = value.number;
-    }
-    if (const JsonValue* b = v.find("breakdown"); b && b->isObject()) {
-        r.has_breakdown = true;
-        for (const auto& [key, value] : b->members)
-            if (value.isNumber())
-                r.breakdown[key] = value.number;
-        r.vmu_cache_stall_ticks =
-            jsonNumberField(v, "vmu_cache_stall_ticks");
-    }
-    out = std::move(r);
-    return true;
-}
-
-std::vector<Record>
+std::vector<exp::JobResult>
 loadSweepFile(const std::string& path, LoadStats* stats,
               const std::string& source)
 {
-    std::vector<Record> records;
+    std::vector<exp::JobResult> records;
     std::string content;
     if (!readFile(path, content))
         return records;
@@ -101,8 +66,8 @@ loadSweepFile(const std::string& path, LoadStats* stats,
     while (std::getline(is, line)) {
         if (line.empty())
             continue;
-        Record r;
-        if (!parseRecordLine(line, r)) {
+        exp::JobResult r;
+        if (!exp::parseResultJson(line, r)) {
             if (stats)
                 ++stats->skipped_lines;
             continue;
@@ -115,10 +80,10 @@ loadSweepFile(const std::string& path, LoadStats* stats,
     return records;
 }
 
-std::vector<Record>
+std::vector<exp::JobResult>
 loadSweepDir(const std::string& dir, LoadStats* stats)
 {
-    std::vector<Record> records;
+    std::vector<exp::JobResult> records;
     std::error_code ec;
     std::vector<std::string> paths;
     for (const auto& entry :
@@ -128,8 +93,6 @@ loadSweepDir(const std::string& dir, LoadStats* stats)
         const std::string name = entry.path().filename().string();
         if (name.size() < 6 ||
             name.compare(name.size() - 6, 6, ".jsonl") != 0)
-            continue;
-        if (name == "cache.jsonl")
             continue;
         paths.push_back(entry.path().string());
     }
@@ -143,14 +106,13 @@ loadSweepDir(const std::string& dir, LoadStats* stats)
     return records;
 }
 
-std::vector<Record>
-dedupCells(const std::vector<Record>& records)
+std::vector<exp::JobResult>
+dedupCells(const std::vector<exp::JobResult>& records)
 {
-    std::vector<Record> out;
+    std::vector<exp::JobResult> out;
     std::unordered_map<std::string, std::size_t> index;
     for (const auto& r : records) {
-        const std::string key = r.key();
-        auto [it, inserted] = index.emplace(key, out.size());
+        auto [it, inserted] = index.emplace(cellKey(r), out.size());
         if (inserted)
             out.push_back(r);
         else
@@ -173,56 +135,63 @@ pctChange(double base, double current)
 } // namespace
 
 DeltaReport
-compareRuns(const std::vector<Record>& current,
-            const std::vector<Record>& baseline)
+compareRuns(const std::vector<exp::JobResult>& current,
+            const std::vector<exp::JobResult>& baseline)
 {
     DeltaReport report;
     const auto cur = dedupCells(current);
     const auto base = dedupCells(baseline);
-    std::unordered_map<std::string, const Record*> base_by_key;
+    std::unordered_map<std::string, const exp::JobResult*> base_by_key;
     for (const auto& r : base)
-        base_by_key[r.key()] = &r;
-    std::unordered_map<std::string, const Record*> cur_by_key;
+        base_by_key[cellKey(r)] = &r;
+    std::unordered_map<std::string, const exp::JobResult*> cur_by_key;
     for (const auto& r : cur)
-        cur_by_key[r.key()] = &r;
+        cur_by_key[cellKey(r)] = &r;
 
     for (const auto& b : base)
-        if (!cur_by_key.count(b.key()))
-            report.missing_in_current.push_back(b.key());
+        if (!cur_by_key.count(cellKey(b)))
+            report.missing_in_current.push_back(cellKey(b));
     for (const auto& c : cur) {
-        const auto it = base_by_key.find(c.key());
+        const std::string key = cellKey(c);
+        const auto it = base_by_key.find(key);
         if (it == base_by_key.end()) {
-            report.missing_in_baseline.push_back(c.key());
+            report.missing_in_baseline.push_back(key);
             continue;
         }
-        const Record& b = *it->second;
+        const exp::JobResult& b = *it->second;
         ++report.cells;
-        if (c.status != b.status) {
+        if (recordStatus(c) != recordStatus(b)) {
             Delta d;
-            d.key = c.key();
+            d.key = key;
             d.metric = "status";
             d.status_change = true;
             report.deltas.push_back(d);
-            if (b.ok() && !c.ok())
+            if (recordOk(b) && !recordOk(c))
                 ++report.status_degradations;
             continue;  // metric deltas are noise across a status flip
         }
-        const std::pair<const char*, double Record::*> metrics[] = {
-            {"cycles", &Record::cycles},
-            {"seconds", &Record::seconds},
-            {"total_ticks", &Record::total_ticks},
-            {"instrs", &Record::instrs},
-            {"mismatches", &Record::mismatches},
-            {"vec_instrs", &Record::vec_instrs},
-            {"vec_elem_ops", &Record::vec_elem_ops},
+        using Metric = double (*)(const RunResult&);
+        const std::pair<const char*, Metric> metrics[] = {
+            {"cycles", [](const RunResult& r) { return r.cycles; }},
+            {"seconds", [](const RunResult& r) { return r.seconds; }},
+            {"total_ticks",
+             [](const RunResult& r) { return r.total_ticks; }},
+            {"instrs",
+             [](const RunResult& r) { return double(r.instrs); }},
+            {"mismatches",
+             [](const RunResult& r) { return double(r.mismatches); }},
+            {"vec_instrs",
+             [](const RunResult& r) { return double(r.vecInstrs); }},
+            {"vec_elem_ops",
+             [](const RunResult& r) { return double(r.vecElemOps); }},
         };
-        for (const auto& [name, member] : metrics) {
-            const double bv = b.*member;
-            const double cv = c.*member;
+        for (const auto& [name, metric] : metrics) {
+            const double bv = metric(b.result);
+            const double cv = metric(c.result);
             if (bv == cv)
                 continue;
             Delta d;
-            d.key = c.key();
+            d.key = key;
             d.metric = name;
             d.base = bv;
             d.current = cv;

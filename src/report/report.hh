@@ -4,6 +4,12 @@
  * holds (the artifacts eve_sweep and the benches write),
  * group them into comparable cells, and diff two runs.
  *
+ * Records are parsed by exp::parseResultJson, the one reader of the
+ * resultToJson format, into exp::JobResult, the one in-memory form of
+ * a result: the figure builders (report/figures.hh) take the same
+ * results whether a bench holds them in memory or eve_report loads
+ * them from disk.
+ *
  * A "cell" is one grid point of one artifact: source file + system +
  * workload + axes + sampled-or-exact. Within a file, a later record
  * for the same cell wins (re-runs append). Diffing compares only the
@@ -17,45 +23,23 @@
 #ifndef EVE_REPORT_REPORT_HH
 #define EVE_REPORT_REPORT_HH
 
-#include <cstdint>
-#include <map>
+#include <cstddef>
 #include <string>
 #include <vector>
+
+#include "exp/runner.hh"
 
 namespace eve::report
 {
 
-/** One sweep-result record, parsed back from resultToJson() bytes. */
-struct Record
-{
-    std::string source;   ///< basename of the .jsonl it came from
-    std::uint64_t index = 0;
-    std::string label;
-    std::string system;
-    std::string workload;
-    std::string status;   ///< "ok" / "mismatch" / "failed" / "skipped"
-    std::string error;
-    std::map<std::string, std::string> axes;
-    bool sampled = false;
-    bool has_wall = false;
-    double wall_s = 0;
-    double cycles = 0;
-    double seconds = 0;
-    double total_ticks = 0;
-    double instrs = 0;
-    double mismatches = 0;
-    double vec_instrs = 0;
-    double vec_elem_ops = 0;
-    std::map<std::string, double> stats;
-    bool has_breakdown = false;
-    std::map<std::string, double> breakdown;
-    double vmu_cache_stall_ticks = 0;
+/**
+ * True for Ok and Cached records: a cached result is the earlier Ok
+ * run restored verbatim, and serializes as "ok".
+ */
+bool recordOk(const exp::JobResult& r);
 
-    /** Cell identity: source|system|workload|axes|sampling. */
-    std::string key() const;
-
-    bool ok() const { return status == "ok"; }
-};
+/** Cell identity: source|system|workload|axes|sampling. */
+std::string cellKey(const exp::JobResult& r);
 
 /** Bookkeeping from a load pass. */
 struct LoadStats
@@ -65,28 +49,28 @@ struct LoadStats
     std::size_t skipped_lines = 0; ///< malformed / non-record lines
 };
 
-/** Parse one JSONL line; false on malformed or non-record input. */
-bool parseRecordLine(const std::string& line, Record& out);
-
 /**
- * Load every record of one JSONL artifact. @p source names the
- * records' source (defaults to the path's basename).
+ * Load every record of one JSONL artifact, tagging each with
+ * @p source (defaults to the path's basename) as its
+ * exp::JobResult::source. Lines parseResultJson rejects are skipped
+ * and counted.
  */
-std::vector<Record> loadSweepFile(const std::string& path,
-                                  LoadStats* stats = nullptr,
-                                  const std::string& source = "");
+std::vector<exp::JobResult> loadSweepFile(const std::string& path,
+                                          LoadStats* stats = nullptr,
+                                          const std::string& source = "");
 
 /**
  * Load every *.jsonl artifact directly under @p dir (sorted by name,
- * so record order is stable across hosts). cache.jsonl is skipped:
- * the result cache stores its own key-prefixed lines, not sweep
- * output. Returns an empty vector if the directory has no artifacts.
+ * so record order is stable across hosts). Anything else in the
+ * directory — a result cache's KEY.json records, report output — is
+ * ignored. Returns an empty vector if the directory has no artifacts.
  */
-std::vector<Record> loadSweepDir(const std::string& dir,
-                                 LoadStats* stats = nullptr);
+std::vector<exp::JobResult> loadSweepDir(const std::string& dir,
+                                         LoadStats* stats = nullptr);
 
 /** Last-wins dedup of @p records by cell key, input order kept. */
-std::vector<Record> dedupCells(const std::vector<Record>& records);
+std::vector<exp::JobResult>
+dedupCells(const std::vector<exp::JobResult>& records);
 
 /** One changed metric of one cell. */
 struct Delta
@@ -114,11 +98,11 @@ struct DeltaReport
 
 /**
  * Diff @p current against @p baseline cell by cell over the
- * simulated metrics. Cells are matched by Record::key(); both sides
- * are deduped last-wins first.
+ * simulated metrics. Cells are matched by cellKey(); both sides are
+ * deduped last-wins first.
  */
-DeltaReport compareRuns(const std::vector<Record>& current,
-                        const std::vector<Record>& baseline);
+DeltaReport compareRuns(const std::vector<exp::JobResult>& current,
+                        const std::vector<exp::JobResult>& baseline);
 
 /**
  * The CI gate: passes iff no status degraded, no baseline cell is

@@ -203,13 +203,14 @@ TEST(Json, ParseResetsReusedValue)
     JsonValue v;
     ASSERT_TRUE(parseJson(
         "{\"status\":\"ok\",\"index\":3,\"stats\":{\"a\":1}}", v));
-    EXPECT_EQ(jsonStringField(v, "status"), "ok");
-    EXPECT_EQ(jsonNumberField(v, "index"), 3);
+    ASSERT_NE(v.find("index"), nullptr);
+    EXPECT_EQ(v.find("status")->text, "ok");
+    EXPECT_EQ(v.find("index")->number, 3);
 
     ASSERT_TRUE(parseJson("{\"status\":\"failed\",\"cycles\":2}", v));
-    EXPECT_EQ(jsonStringField(v, "status"), "failed");
-    EXPECT_EQ(jsonNumberField(v, "cycles"), 2);
-    EXPECT_EQ(jsonNumberField(v, "index", -1), -1);
+    EXPECT_EQ(v.find("status")->text, "failed");
+    EXPECT_EQ(v.find("cycles")->number, 2);
+    EXPECT_EQ(v.find("index"), nullptr);
     EXPECT_EQ(v.find("stats"), nullptr);
     EXPECT_EQ(v.members.size(), 2u);
 }

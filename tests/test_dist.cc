@@ -532,7 +532,6 @@ TEST(Dist, OrchestratorDegradesToSingleProcessAndFillsCache)
     const auto jobs = smallGrid().jobs();
 
     ResultCache cache(cache_dir);
-    cache.load();
 
     DistOptions opts = liveOpts(jobs_dir);
     opts.lanes = 1;
@@ -544,7 +543,6 @@ TEST(Dist, OrchestratorDegradesToSingleProcessAndFillsCache)
     // A rerun is served entirely from the cache and never touches
     // the jobs directory (which still holds the completed state).
     ResultCache cache2(cache_dir);
-    cache2.load();
     const auto again =
         runDistributed(jobs, liveOpts(jobs_dir), &cache2);
     for (std::size_t i = 0; i < jobs.size(); ++i) {

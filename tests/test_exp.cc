@@ -1,8 +1,9 @@
 /**
  * @file
  * Experiment-runner subsystem tests: sweep expansion, thread-pool
- * determinism, failure policies, progress reporting, the JSONL/CSV
- * result sinks, and the timing-parity golden file.
+ * determinism, failure policies, progress reporting, JSONL/CSV
+ * serialization, the result cache, and the timing-parity golden
+ * file.
  */
 
 #include <gtest/gtest.h>
@@ -374,10 +375,12 @@ TEST(Sink, JsonLineHasSchemaFields)
     EXPECT_EQ(json.front(), '{');
     EXPECT_EQ(json.back(), '}');
 
-    std::ostringstream os;
-    JsonLinesSink sink(os);
-    sink.write(results[0]);
-    EXPECT_EQ(os.str(), json + "\n");
+    const std::string path =
+        freshDir("eve_sink_json") + "/results.jsonl";
+    writeJsonLines(results, path);
+    std::string text;
+    ASSERT_TRUE(readFile(path, text));
+    EXPECT_EQ(text, json + "\n");
 }
 
 TEST(Sink, FailedJobJsonCarriesErrorNotStats)
@@ -411,10 +414,7 @@ TEST(Sink, CsvUnionsStatColumns)
     b.result.cycles = 20;
     b.result.stats["llc.misses"] = 3;
 
-    CsvSink sink;
-    sink.write(a);
-    sink.write(b);
-    const std::string csv = sink.render();
+    const std::string csv = resultsToCsv({a, b});
 
     std::istringstream is(csv);
     std::string header, row_a, row_b;
@@ -442,10 +442,7 @@ TEST(Sink, CsvCarriesErrorColumn)
     bad.status = JobStatus::Failed;
     bad.error = "spawn failed, tick 7";
 
-    CsvSink sink;
-    sink.write(ok);
-    sink.write(bad);
-    const std::string csv = sink.render();
+    const std::string csv = resultsToCsv({ok, bad});
 
     std::istringstream is(csv);
     std::string header, row_ok, row_bad;
@@ -463,6 +460,24 @@ TEST(Sink, CsvCarriesErrorColumn)
 // ---------------------------------------------------------------------
 // Content-hash result cache
 // ---------------------------------------------------------------------
+
+namespace
+{
+
+/** Entries of cache directory @p dir; each must be a KEY.json record. */
+std::size_t
+recordFiles(const std::string& dir)
+{
+    std::size_t n = 0;
+    std::error_code ec;
+    for (const auto& e : std::filesystem::directory_iterator(dir, ec)) {
+        EXPECT_EQ(e.path().extension(), ".json") << e.path();
+        ++n;
+    }
+    return n;
+}
+
+} // namespace
 
 TEST(ResultCacheKey, TracksContentNotLabels)
 {
@@ -576,8 +591,8 @@ TEST(ResultCache, StoreLoadLookupRestoresByteIdentically)
         EXPECT_EQ(cache.stores(), jobs.size());
     }
 
+    EXPECT_EQ(recordFiles(dir), jobs.size()); // one file per key
     ResultCache cache(dir);
-    EXPECT_EQ(cache.load(), jobs.size());
     for (std::size_t i = 0; i < jobs.size(); ++i) {
         JobResult restored;
         ASSERT_TRUE(cache.lookup(jobs[i], restored))
@@ -602,7 +617,7 @@ TEST(ResultCache, ResumedRunExecutesNothingAndMatchesByteForByte)
     const auto spec = smallGrid();
 
     ResultCache cold_cache(dir);
-    EXPECT_EQ(cold_cache.load(), 0u);
+    EXPECT_EQ(recordFiles(dir), 0u);
     RunnerOptions cold_opts;
     cold_opts.threads = 2;
     cold_opts.cache = &cold_cache;
@@ -613,7 +628,7 @@ TEST(ResultCache, ResumedRunExecutesNothingAndMatchesByteForByte)
     // Resume with a fresh cache object over the same directory, at a
     // different thread count: zero executions, byte-identical JSONL.
     ResultCache warm_cache(dir);
-    EXPECT_EQ(warm_cache.load(), cold.size());
+    EXPECT_EQ(recordFiles(dir), cold.size());
     RunnerOptions warm_opts;
     warm_opts.threads = 4;
     warm_opts.cache = &warm_cache;
@@ -646,7 +661,6 @@ TEST(ResultCache, EditedAxisRerunsOnlyAffectedJobs)
     };
 
     ResultCache cache(dir);
-    cache.load();
     RunnerOptions opts;
     opts.threads = 2;
     opts.cache = &cache;
@@ -655,7 +669,6 @@ TEST(ResultCache, EditedAxisRerunsOnlyAffectedJobs)
     // Swap one axis point: only the two jobs touching the new value
     // simulate; the untouched half of the grid is served from cache.
     ResultCache cache2(dir);
-    cache2.load();
     RunnerOptions opts2;
     opts2.threads = 2;
     opts2.cache = &cache2;
@@ -664,6 +677,7 @@ TEST(ResultCache, EditedAxisRerunsOnlyAffectedJobs)
     EXPECT_EQ(countStatus(results, JobStatus::Cached), 2u);
     EXPECT_EQ(countStatus(results, JobStatus::Ok), 2u);
     EXPECT_EQ(cache2.stores(), 2u);
+    EXPECT_EQ(recordFiles(dir), 6u);
     for (const auto& r : results) {
         const bool new_point = r.config.llc_mshrs == 48;
         EXPECT_EQ(r.status, new_point ? JobStatus::Ok
@@ -683,7 +697,6 @@ TEST(ResultCache, FailedJobsAreNeverCached)
                   [] { return std::make_unique<ThrowingWorkload>(); });
 
     ResultCache cache(dir);
-    cache.load();
     RunnerOptions opts;
     opts.threads = 1;
     opts.cache = &cache;
@@ -693,7 +706,7 @@ TEST(ResultCache, FailedJobsAreNeverCached)
 
     // The rerun executes again (no poisoned cache entry).
     ResultCache cache2(dir);
-    EXPECT_EQ(cache2.load(), 0u);
+    EXPECT_EQ(recordFiles(dir), 0u);
     RunnerOptions opts2 = opts;
     opts2.cache = &cache2;
     const auto second = Runner(opts2).run(spec);
@@ -710,16 +723,16 @@ TEST(ResultCache, SaltBumpInvalidatesEverything)
     const auto jobs = spec.jobs();
 
     ResultCache cache(dir);
-    cache.load();
     RunnerOptions opts;
     opts.threads = 1;
     opts.cache = &cache;
     Runner(opts).run(jobs);
     EXPECT_EQ(cache.stores(), 1u);
 
-    // Same directory, bumped simulator salt: every key misses.
+    // Same directory, bumped simulator salt: every key misses, and
+    // the old record stays where it was, unread.
     ResultCache bumped(dir, "eve-sim-v999");
-    EXPECT_EQ(bumped.load(), 1u);
+    EXPECT_EQ(recordFiles(dir), 1u);
     JobResult restored;
     EXPECT_FALSE(bumped.lookup(jobs[0], restored));
 }
@@ -727,9 +740,9 @@ TEST(ResultCache, SaltBumpInvalidatesEverything)
 TEST(ResultCache, ConcurrentSweepsSharingADirMatchSoloRuns)
 {
     // Two sweeps over overlapping grids share one cache directory,
-    // each through its own ResultCache. flock locks belong to an
-    // open file description, so the two threads contend for the
-    // journal exactly as two processes would.
+    // each through its own ResultCache, which holds no state of its
+    // own: the two threads race for the shared key's record file
+    // exactly as two processes would.
     const std::string dir = freshDir("eve_cache_shared");
     auto grid = [](std::vector<std::string> workloads) {
         SweepSpec spec;
@@ -761,7 +774,6 @@ TEST(ResultCache, ConcurrentSweepsSharingADirMatchSoloRuns)
     for (std::size_t g = 0; g < grids.size(); ++g) {
         sweeps.emplace_back([&, g] {
             ResultCache cache(dir);
-            cache.load();
             RunnerOptions opts;
             opts.threads = 1;
             opts.cache = &cache;
@@ -773,10 +785,10 @@ TEST(ResultCache, ConcurrentSweepsSharingADirMatchSoloRuns)
     for (std::size_t g = 0; g < grids.size(); ++g)
         EXPECT_EQ(payloads(shared[g]), solo[g]) << "grid " << g;
 
-    // The shared job may have run once per sweep, but the journal
-    // holds three keys, and a replay executes nothing.
+    // The shared job may have run once per sweep, but the directory
+    // holds one record file per key, and a replay executes nothing.
+    EXPECT_EQ(recordFiles(dir), 3u);
     ResultCache replay(dir);
-    EXPECT_EQ(replay.load(), 3u);
     for (std::size_t g = 0; g < grids.size(); ++g) {
         RunnerOptions opts;
         opts.threads = 1;
@@ -798,19 +810,37 @@ TEST(ResultCache, TruncatedEntriesAreSkippedNotFatal)
     spec.system(cfg).workloads({"vvadd"}, true);
     const auto jobs = spec.jobs();
 
-    {
-        ResultCache cache(dir);
-        RunnerOptions opts;
-        opts.threads = 1;
-        opts.cache = &cache;
-        Runner(opts).run(jobs);
-        // Simulate a killed run: a half-written trailing line.
-        std::ofstream out(cache.filePath(), std::ios::app);
-        out << "{\"key\":\"0123456789abcdef\",\"record\":{\"ind";
+    ResultCache cache(dir);
+    RunnerOptions opts;
+    opts.threads = 1;
+    opts.cache = &cache;
+    const auto cold = Runner(opts).run(jobs);
+    const std::string path = cache.recordPath(jobs[0]);
+    std::string whole;
+    ASSERT_TRUE(readFile(path, whole));
+
+    // A torn record (a non-atomic copy, a full disk) and a line of
+    // the retired cache.jsonl journal are misses, not fatal errors.
+    for (const std::string& bad :
+         {whole.substr(0, whole.size() / 2),
+          "{\"key\":\"" + jobKey(jobs[0]) + "\",\"record\":" + whole +
+              "}"}) {
+        std::ofstream(path) << bad;
+        JobResult miss;
+        EXPECT_FALSE(cache.lookup(jobs[0], miss));
+        EXPECT_EQ(miss.label, jobs[0].label);
     }
 
-    ResultCache cache(dir);
-    EXPECT_EQ(cache.load(), 1u); // good entry survives
+    // The rerun simulates the job again, and its store repairs the
+    // record.
+    ResultCache repair(dir);
+    opts.cache = &repair;
+    const auto rerun = Runner(opts).run(jobs);
+    EXPECT_EQ(rerun[0].status, JobStatus::Ok);
+    EXPECT_EQ(repair.stores(), 1u);
     JobResult restored;
-    EXPECT_TRUE(cache.lookup(jobs[0], restored));
+    ASSERT_TRUE(repair.lookup(jobs[0], restored));
+    EXPECT_EQ(resultToJson(restored, /*include_host_time=*/false),
+              resultToJson(cold[0], /*include_host_time=*/false));
+    EXPECT_EQ(recordFiles(dir), 1u);
 }

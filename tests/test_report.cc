@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "common/fs.hh"
+#include "exp/cache.hh"
 #include "exp/runner.hh"
 #include "exp/sink.hh"
 #include "report/figures.hh"
@@ -69,35 +70,36 @@ TEST(ReportLoad, RoundTripsSinkRecords)
     EXPECT_EQ(stats.files, 1u);
     EXPECT_EQ(stats.records, 2u);
     EXPECT_EQ(stats.skipped_lines, 0u);
-    EXPECT_EQ(records[0].system, "IO");
+    EXPECT_EQ(exp::recordSystem(records[0]), "IO");
     EXPECT_EQ(records[0].workload, "vvadd");
-    EXPECT_EQ(records[0].status, "ok");
-    EXPECT_DOUBLE_EQ(records[0].seconds, 100.0);
-    EXPECT_EQ(records[1].system, "O3+EVE-8");
-    EXPECT_DOUBLE_EQ(records[1].seconds, 25.0);
-    EXPECT_NE(records[0].key(), records[1].key());
+    EXPECT_EQ(records[0].status, exp::JobStatus::Ok);
+    EXPECT_EQ(records[0].source, "sweep.jsonl");
+    EXPECT_DOUBLE_EQ(records[0].result.seconds, 100.0);
+    EXPECT_EQ(exp::recordSystem(records[1]), "O3+EVE-8");
+    EXPECT_DOUBLE_EQ(records[1].result.seconds, 25.0);
+    EXPECT_NE(cellKey(records[0]), cellKey(records[1]));
 }
 
-TEST(ReportLoad, SkipsMalformedLinesAndCacheFile)
+TEST(ReportLoad, SkipsMalformedLinesAndCacheRecords)
 {
     const std::string dir = freshDir("malformed");
     writeArtifact(dir, "sweep.jsonl", {makeResult("IO", "vvadd", 1.0)});
     {
         std::ofstream out(dir + "/sweep.jsonl", std::ios::app);
         out << "not json at all\n"
-            << "{\"no\":\"record fields\"}\n";
+            << "{\"no\":\"record fields\"}\n"
+            << "{\"status\":\"ok\"}\n";
     }
-    // cache.jsonl holds key-prefixed cache lines, not sweep records.
-    {
-        std::ofstream out(dir + "/cache.jsonl");
-        out << "deadbeef {\"system\":\"IO\"}\n";
-    }
+    // A result cache sharing the directory keeps one KEY.json record
+    // per job; those are cached results, not sweep output.
+    exp::writeRecordFile(dir + "/0123456789abcdef.json",
+                         makeResult("O3", "vvadd", 0.5));
 
     LoadStats stats;
     const auto records = loadSweepDir(dir, &stats);
     EXPECT_EQ(records.size(), 1u);
     EXPECT_EQ(stats.files, 1u);
-    EXPECT_EQ(stats.skipped_lines, 2u);
+    EXPECT_EQ(stats.skipped_lines, 3u);
 }
 
 TEST(ReportLoad, DedupIsLastWinsPerCell)
@@ -108,7 +110,7 @@ TEST(ReportLoad, DedupIsLastWinsPerCell)
                    makeResult("IO", "vvadd", 50.0)});
     const auto deduped = dedupCells(loadSweepDir(dir));
     ASSERT_EQ(deduped.size(), 1u);
-    EXPECT_DOUBLE_EQ(deduped[0].seconds, 50.0);
+    EXPECT_DOUBLE_EQ(deduped[0].result.seconds, 50.0);
 }
 
 TEST(ReportFigures, Fig6SpeedupOverIo)
@@ -130,6 +132,75 @@ TEST(ReportFigures, Fig6SpeedupOverIo)
     EXPECT_DOUBLE_EQ(fig.at(0, 0), 1.0);
     EXPECT_DOUBLE_EQ(fig.at(0, 1), 2.0);
     EXPECT_DOUBLE_EQ(fig.at(0, 2), 4.0);
+}
+
+TEST(ReportFigures, InMemoryAndLoadedResultsGiveOneFigure)
+{
+    // A bench prints its figure from the results it holds; eve_report
+    // prints it from the artifact those results were written to. Both
+    // must be one figure, byte for byte: exact, sampled, axis-point,
+    // cached and failed results, with breakdowns and VMU stats.
+    std::vector<exp::JobResult> results;
+    const std::vector<std::string> systems = {"IO", "O3+DV", "O3+EVE-1",
+                                              "O3+EVE-8"};
+    const std::vector<std::string> workloads = {
+        "k-means", "pathfinder", "jacobi-2d", "backprop", "sw"};
+    for (std::size_t s = 0; s < systems.size(); ++s) {
+        for (std::size_t w = 0; w < workloads.size(); ++w) {
+            auto r = makeResult(systems[s], workloads[w],
+                                1e-3 / double(1 + s + 2 * w) + 1e-7 * w,
+                                1000.0 + 37.0 * double(s * w));
+            if (systems[s].rfind("O3+EVE-", 0) == 0) {
+                r.result.has_breakdown = true;
+                r.result.breakdown.busy = 0.4 * r.result.total_ticks;
+                r.result.breakdown.ld_mem_stall =
+                    0.35 * r.result.total_ticks;
+                r.result.breakdown.dep_stall = 1.0 / 3.0;
+                r.result.stats["eve.vmu_cache_stall_ticks"] =
+                    double(100 * w + s);
+                r.result.stats["eve.vmu_issue_ticks"] = 1000.0;
+            }
+            results.push_back(r);
+        }
+    }
+    results[3].status = exp::JobStatus::Cached;
+    auto sampled = makeResult("O3+EVE-8", "sw", 5e-5);
+    sampled.result.sampled = true;
+    results.push_back(sampled);
+    auto axis_point = makeResult("O3+EVE-1", "backprop", 7e-5);
+    axis_point.axes = {{"llc_mshrs", "16"}};
+    results.push_back(axis_point);
+    auto failed = makeResult("O3+EVE-8", "vvadd", 0);
+    failed.result = RunResult();
+    failed.config.kind = SystemKind::O3EVE;
+    failed.config.eve_pf = 8;
+    failed.status = exp::JobStatus::Failed;
+    failed.error = "injected";
+    results.push_back(failed);
+
+    const std::string dir = freshDir("one_figure_path");
+    writeArtifact(dir, "sweep.jsonl", results);
+    const auto loaded = loadSweepDir(dir);
+    ASSERT_EQ(loaded.size(), results.size());
+
+    const auto in_memory = buildAll(results);
+    const auto from_disk = buildAll(loaded);
+    ASSERT_EQ(in_memory.size(), from_disk.size());
+    for (std::size_t i = 0; i < in_memory.size(); ++i) {
+        ASSERT_FALSE(in_memory[i].empty()) << in_memory[i].name;
+        EXPECT_EQ(figureText(in_memory[i]), figureText(from_disk[i]))
+            << in_memory[i].name;
+        EXPECT_EQ(figureCsv(in_memory[i]), figureCsv(from_disk[i]))
+            << in_memory[i].name;
+    }
+    // The cached IO result counts as ok; the failed one does not.
+    const FigureTable& table3 = in_memory[3];
+    ASSERT_EQ(table3.rows.front(), "IO");
+    EXPECT_EQ(table3.at(0, 1), 5.0);
+    ASSERT_EQ(table3.rows.back(), "O3+EVE-8");
+    EXPECT_EQ(table3.at(table3.rows.size() - 1, 1), 6.0);
+    EXPECT_EQ(table3.at(table3.rows.size() - 1, 3), 1.0);
+    EXPECT_EQ(in_memory[0].rows.back(), "geomean*");
 }
 
 TEST(ReportFigures, ExactRecordBeatsSampledOnSharedAxis)

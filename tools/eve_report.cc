@@ -29,7 +29,6 @@
 #include <string>
 #include <vector>
 
-#include "driver/table.hh"
 #include "report/figures.hh"
 #include "report/report.hh"
 
@@ -62,36 +61,6 @@ usage()
         "  fig8_vmu_stalls         VMU cache-induced stall %%\n"
         "  table3_systems          per-system record inventory\n"
         "  table4_characterization per-workload instruction mix\n");
-}
-
-std::string
-cellText(double v)
-{
-    if (v != v)  // NaN: missing cell
-        return "";
-    return TextTable::num(v, 3);
-}
-
-void
-printFigure(const report::FigureTable& fig)
-{
-    if (fig.empty())
-        return;
-    std::printf("%s (%s)\n", fig.title.c_str(), fig.name.c_str());
-    std::vector<std::string> headers = {fig.row_header};
-    headers.insert(headers.end(), fig.columns.begin(),
-                   fig.columns.end());
-    TextTable table(headers);
-    for (std::size_t r = 0; r < fig.rows.size(); ++r) {
-        std::vector<std::string> row = {fig.rows[r]};
-        for (std::size_t c = 0; c < fig.columns.size(); ++c)
-            row.push_back(cellText(fig.at(r, c)));
-        table.addRow(row);
-    }
-    std::printf("%s", table.render().c_str());
-    if (!fig.note.empty())
-        std::printf("%s\n", fig.note.c_str());
-    std::printf("\n");
 }
 
 } // namespace
@@ -167,7 +136,7 @@ main(int argc, char** argv)
     const auto figures = report::buildAll(records);
     if (!quiet)
         for (const auto& fig : figures)
-            printFigure(fig);
+            std::printf("%s", report::figureText(fig).c_str());
     const auto written =
         report::writeFigureArtifacts(figures, out_dir);
     std::fprintf(stderr, "eve_report: %zu artifacts under %s\n",

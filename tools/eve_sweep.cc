@@ -89,9 +89,10 @@
  *               but at most 0.25 s, and a worker waits ten leases
  *               for the manifest; a job is abandoned after 3 claims.
  *
- * Several invocations may share one --cache-dir: appends are
- * flock-serialized, so concurrent sweeps over overlapping grids each
- * reuse what the others have already stored (docs/OPERATIONS.md §2).
+ * Several invocations may share one --cache-dir without a lock: each
+ * result is one KEY.json file written whole, so concurrent sweeps
+ * over overlapping grids each reuse what the others have already
+ * stored (docs/OPERATIONS.md §2).
  */
 
 #include <csignal>
@@ -455,10 +456,9 @@ main(int argc, char** argv)
     std::unique_ptr<exp::ResultCache> cache;
     if (!cache_dir.empty() && !no_cache) {
         cache = std::make_unique<exp::ResultCache>(cache_dir);
-        const std::size_t loaded = cache->load();
         if (!quiet)
-            std::fprintf(stderr, "cache: %zu entries in %s\n", loaded,
-                         cache->filePath().c_str());
+            std::fprintf(stderr, "cache: %s\n",
+                         cache->directory().c_str());
         opts.cache = cache.get();
     }
 
